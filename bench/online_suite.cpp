@@ -369,8 +369,7 @@ main(int argc, char **argv)
             for (size_t w : polls) {
                 const std::vector<trace::Trace> &snap = snaps[w];
                 std::vector<int64_t> slos(snap.size(), slo);
-                results.push_back(
-                    pipeline.analyze(snap, slos, nullptr, cache));
+                results.push_back(pipeline.analyze(snap, slos, cache));
             }
             double ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0)

@@ -14,7 +14,6 @@
 #include "cluster/hdbscan.h"
 #include "collector/collector.h"
 #include "core/pipeline_cache.h"
-#include "core/pruner.h"
 #include "distance/trace_distance.h"
 #include "durable/durable_log.h"
 #include "online/durable_state.h"
@@ -1665,114 +1664,6 @@ checkOnlineSoak(const ScenarioRun &run, const CheckContext &)
 }
 
 InvariantResult
-checkPrunedVsFull(const ScenarioRun &run, const CheckContext &ctx)
-{
-    // The adaptive pre-pruning layer (DESIGN.md §3.14). Conservative
-    // mode promises a guaranteed superset: every trace kept, every
-    // candidate the RCA restoration loop could pick retained, so the
-    // pruned result is bit-for-bit the full result. Aggressive mode
-    // only promises structural sanity (exemplar inheritance, sorted
-    // candidate sets, honest accounting) — its accuracy cost is
-    // measured by the EXPERIMENTS.md ablation, not asserted here.
-    core::PipelineConfig cfg = run.scenario.pipelineConfig();
-    core::PipelineResult full = run.analyze(cfg);
-    std::vector<std::pair<std::string, size_t>> full_rank =
-        core::aggregateRootCauses(full);
-
-    core::SleuthPipeline pipeline(run.adapter->model(),
-                                  run.adapter->encoder(),
-                                  run.adapter->profile(), cfg);
-
-    core::PruneConfig conservative;
-    conservative.mode = core::PruneConfig::Mode::Conservative;
-    core::RcaPruner pruner(run.adapter->profile(), conservative,
-                           cfg.rca);
-    core::PrunePlan plan = pruner.plan(run.traces, run.slos);
-    if (plan.tracesTotal != run.traces.size() ||
-        plan.tracesKept != run.traces.size())
-        return fail("conservative plan pruned traces: kept " +
-                    std::to_string(plan.tracesKept) + " of " +
-                    std::to_string(plan.tracesTotal));
-    if (ctx.mutation == "overprune-root-cause") {
-        // Test-only over-aggressive prune: drop the full run's top
-        // aggregated root cause from every candidate set — the exact
-        // failure mode this invariant exists to catch.
-        if (full_rank.empty())
-            return fail("mutation overprune-root-cause: the full run "
-                        "produced no root cause to drop, the leg "
-                        "proves nothing");
-        const std::string &top = full_rank[0].first;
-        for (std::vector<std::string> &cand : plan.candidates)
-            cand.erase(std::remove(cand.begin(), cand.end(), top),
-                       cand.end());
-    }
-    core::PipelineResult pruned =
-        pipeline.analyzeWithPlan(run.traces, run.slos, plan);
-    std::string diff = diffResults(full, pruned);
-    if (!diff.empty())
-        return fail("conservative pruned run diverges from the full "
-                    "run: " + diff);
-    if (core::aggregateRootCauses(pruned) != full_rank)
-        return fail("conservative pruned run changed the aggregated "
-                    "root-cause ranking");
-    if (pruned.prunedTraces != 0 || pruned.pruneTraceKeepRatio != 1.0)
-        return fail("conservative run misreported prune accounting");
-
-    core::PruneConfig aggressive;
-    aggressive.mode = core::PruneConfig::Mode::Aggressive;
-    aggressive.aggressiveness = 0.5;
-    core::RcaPruner cutter(run.adapter->profile(), aggressive,
-                           cfg.rca);
-    core::PrunePlan cut = cutter.plan(run.traces, run.slos);
-    const size_t n = run.traces.size();
-    if (cut.keep.size() != n || cut.inheritFrom.size() != n ||
-        cut.restricted.size() != n || cut.candidates.size() != n)
-        return fail("aggressive plan has inconsistent sizes");
-    size_t kept = 0;
-    for (size_t i = 0; i < n; ++i) {
-        if (cut.keep[i]) {
-            ++kept;
-            if (cut.inheritFrom[i] != -1)
-                return fail("kept trace " + std::to_string(i) +
-                            " carries an exemplar");
-            continue;
-        }
-        int ex = cut.inheritFrom[i];
-        if (ex < 0 || static_cast<size_t>(ex) >= n || !cut.keep[ex])
-            return fail("pruned trace " + std::to_string(i) +
-                        " inherits from a non-kept exemplar");
-    }
-    if (kept != cut.tracesKept || cut.tracesTotal != n)
-        return fail("aggressive plan trace accounting is wrong");
-    for (size_t i = 0; i < n; ++i) {
-        if (!std::is_sorted(cut.candidates[i].begin(),
-                            cut.candidates[i].end()))
-            return fail("candidate set of trace " + std::to_string(i) +
-                        " is not sorted");
-        if (!cut.restricted[i] && !cut.candidates[i].empty())
-            return fail("unrestricted trace " + std::to_string(i) +
-                        " carries candidates");
-    }
-    core::PipelineResult agg =
-        pipeline.analyzeWithPlan(run.traces, run.slos, cut);
-    if (agg.prunedTraces != n - kept)
-        return fail("aggressive run prunedTraces=" +
-                    std::to_string(agg.prunedTraces) + ", expected " +
-                    std::to_string(n - kept));
-    for (size_t i = 0; i < n; ++i) {
-        if (cut.keep[i])
-            continue;
-        const core::RcaResult &x = agg.perTrace[i];
-        const core::RcaResult &y =
-            agg.perTrace[static_cast<size_t>(cut.inheritFrom[i])];
-        if (x.services != y.services || x.error != y.error)
-            return fail("pruned trace " + std::to_string(i) +
-                        " did not inherit its exemplar's verdict");
-    }
-    return pass();
-}
-
-InvariantResult
 checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
 {
     // The cross-poll incremental cache (DESIGN.md §3.14): every cached
@@ -1789,14 +1680,14 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
 
     core::PipelineCache cache;
     core::PipelineResult cold =
-        pipeline.analyze(run.traces, run.slos, nullptr, &cache);
+        pipeline.analyze(run.traces, run.slos, &cache);
     std::string diff = diffResults(fresh, cold);
     if (!diff.empty())
         return fail("cold-cache run diverges from the cache-free "
                     "run: " + diff);
 
     core::PipelineResult warm =
-        pipeline.analyze(run.traces, run.slos, nullptr, &cache);
+        pipeline.analyze(run.traces, run.slos, &cache);
     diff = diffResults(fresh, warm);
     if (!diff.empty())
         return fail("warm-cache re-poll diverges from the full "
@@ -1818,24 +1709,18 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
         std::vector<int64_t> head_slos(run.slos.begin(),
                                        run.slos.begin() +
                                            static_cast<long>(half));
-        pipeline.analyze(head, head_slos, nullptr, &grow_cache);
-        core::PipelineResult inc = pipeline.analyze(
-            run.traces, run.slos, nullptr, &grow_cache);
+        pipeline.analyze(head, head_slos, &grow_cache);
+        core::PipelineResult inc =
+            pipeline.analyze(run.traces, run.slos, &grow_cache);
         diff = diffResults(fresh, inc);
         if (!diff.empty())
             return fail("growing-window re-poll diverges from the "
                         "full recompute: " + diff);
-        // With the default Jaccard distance, clustering on, and every
-        // trace well-formed, the grown poll must actually take the
-        // matrix-prefix fast path (half >= 2 guarantees the head
-        // stored a matrix).
+        // With clustering on and every trace well-formed, the grown
+        // poll must actually take the matrix-prefix fast path (half >=
+        // 2 guarantees the head stored a matrix).
         bool prefix_expected =
-            cfg.clustering && half >= 2 &&
-            cfg.prune.mode == core::PruneConfig::Mode::Off &&
-            cfg.traceDistance ==
-                core::PipelineConfig::TraceDistanceKind::
-                    WeightedJaccard &&
-            fresh.skippedTraces == 0;
+            cfg.clustering && half >= 2 && fresh.skippedTraces == 0;
         if (prefix_expected &&
             grow_cache.stats().matrixPrefixHits == 0)
             return fail("growing-window re-poll missed the "
@@ -1852,7 +1737,7 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
                                        run.slos.end());
         core::PipelineCache::Stats before = cache.stats();
         core::PipelineResult inc =
-            pipeline.analyze(slid, slid_slos, nullptr, &cache);
+            pipeline.analyze(slid, slid_slos, &cache);
         diff = diffResults(run.analyzeBatch(cfg, slid, slid_slos),
                            inc);
         if (!diff.empty())
@@ -1873,7 +1758,7 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
         mutated[0].spans[0].endUs += 1;
         size_t before_inval = cache.stats().invalidations;
         core::PipelineResult inc =
-            pipeline.analyze(mutated, run.slos, nullptr, &cache);
+            pipeline.analyze(mutated, run.slos, &cache);
         diff = diffResults(run.analyzeBatch(cfg, mutated, run.slos),
                            inc);
         if (!diff.empty())
@@ -2134,10 +2019,6 @@ invariantRegistry()
          "an hour-plus simulated stream holds steady state: watermark "
          "advances, backlog drains, store obeys its retention budget",
          checkOnlineSoak},
-        {"pruned-vs-full",
-         "conservative pre-pruning reproduces the full result "
-         "bit-for-bit; aggressive plans are structurally sound",
-         checkPrunedVsFull},
         {"incremental-repoll",
          "warm-cache re-polls (identical, slid, and mutated windows) "
          "are bitwise equal to a full recompute",
@@ -2192,7 +2073,6 @@ knownMutations()
 {
     static const std::vector<std::string> mutations = {
         "miscount-skipped",
-        "overprune-root-cause",
         "skip-eviction-replay",
     };
     return mutations;

@@ -6,15 +6,25 @@
 
 namespace sleuth::core {
 
-CounterfactualRca::CounterfactualRca(const SleuthGnn &model,
-                                     FeatureEncoder &encoder,
-                                     const NormalProfile &profile,
-                                     RcaParams params)
-    : model_(model), encoder_(encoder), profile_(profile),
-      params_(params)
-{
-}
+namespace {
 
+/** One candidate service and its suspicion score. */
+struct CandidateScore
+{
+    std::string service;
+    double score = 0.0;
+};
+
+/**
+ * Rank a trace's candidate root-cause services by aggregate exclusive
+ * error count and excess exclusive duration (§3.5) — the list the
+ * counterfactual restoration loop iterates, nonpositive scores
+ * dropped, ties broken lexicographically.
+ *
+ * @param err_weight microseconds of excess duration one exclusive
+ *        error is worth (RcaParams::errorWeightUs resolution applied
+ *        by the caller)
+ */
 std::vector<CandidateScore>
 rankCandidateServices(const trace::Trace &trace,
                       const trace::TraceGraph &graph,
@@ -28,8 +38,7 @@ rankCandidateServices(const trace::Trace &trace,
     const size_t n = trace.spans.size();
     // Hashed accumulation: per-service sums are added in span order
     // either way, and the final sort below is a strict total order, so
-    // the container choice cannot change the result — only the cost
-    // (this runs per trace in the pruner's planning pass).
+    // the container choice cannot change the result — only the cost.
     std::unordered_map<std::string, double> score;
     score.reserve(n);
     auto add_score = [&](const std::string &svc, double excess,
@@ -69,9 +78,19 @@ rankCandidateServices(const trace::Trace &trace,
     return ranked;
 }
 
+} // namespace
+
+CounterfactualRca::CounterfactualRca(const SleuthGnn &model,
+                                     FeatureEncoder &encoder,
+                                     const NormalProfile &profile,
+                                     RcaParams params)
+    : model_(model), encoder_(encoder), profile_(profile),
+      params_(params)
+{
+}
+
 RcaResult
-CounterfactualRca::analyze(const trace::Trace &trace, int64_t slo_us,
-                           const std::vector<std::string> *allowed) const
+CounterfactualRca::analyze(const trace::Trace &trace, int64_t slo_us) const
 {
     RcaResult result;
     trace::TraceGraph graph = trace::TraceGraph::build(trace);
@@ -86,20 +105,6 @@ CounterfactualRca::analyze(const trace::Trace &trace, int64_t slo_us,
     std::vector<CandidateScore> ranked =
         rankCandidateServices(trace, graph, metrics, profile_,
                               err_weight);
-    // Candidate pre-pruning (DESIGN.md §3.14): the restoration loop
-    // only considers allowed services. The relative order of survivors
-    // is untouched, so a filter covering every ranked candidate leaves
-    // the verdict bit-for-bit unchanged.
-    if (allowed != nullptr) {
-        ranked.erase(
-            std::remove_if(ranked.begin(), ranked.end(),
-                           [&](const CandidateScore &c) {
-                               return !std::binary_search(
-                                   allowed->begin(), allowed->end(),
-                                   c.service);
-                           }),
-            ranked.end());
-    }
     if (ranked.empty())
         return result;
 

@@ -82,32 +82,6 @@ struct RcaResult
     std::string error;
 };
 
-/** One candidate service and its interpretable suspicion score. */
-struct CandidateScore
-{
-    std::string service;
-    double score = 0.0;
-};
-
-/**
- * Rank a trace's candidate root-cause services by aggregate exclusive
- * error count and excess exclusive duration (§3.5) — the exact list
- * the counterfactual restoration loop iterates, nonpositive scores
- * dropped, ties broken lexicographically. Exposed so the RcaPruner can
- * compute a candidate set that is by construction a superset of every
- * service the RCA could restore (the conservative-mode guarantee,
- * DESIGN.md §3.14).
- *
- * @param err_weight microseconds of excess duration one exclusive
- *        error is worth (RcaParams::errorWeightUs resolution applied
- *        by the caller)
- */
-std::vector<CandidateScore>
-rankCandidateServices(const trace::Trace &trace,
-                      const trace::TraceGraph &graph,
-                      const trace::ExclusiveMetrics &metrics,
-                      const NormalProfile &profile, double err_weight);
-
 /** Counterfactual root cause analyzer. */
 class CounterfactualRca
 {
@@ -127,15 +101,8 @@ class CounterfactualRca
      *
      * @param trace the anomalous trace
      * @param slo_us the latency SLO the trace is held against
-     * @param allowed optional sorted candidate filter (RcaPruner): the
-     *        restoration loop only considers services in the list.
-     *        nullptr = every ranked candidate is eligible. A filter
-     *        containing every positively-scored candidate reproduces
-     *        the unfiltered verdict exactly (DESIGN.md §3.14).
      */
-    RcaResult analyze(const trace::Trace &trace, int64_t slo_us,
-                      const std::vector<std::string> *allowed =
-                          nullptr) const;
+    RcaResult analyze(const trace::Trace &trace, int64_t slo_us) const;
 
   private:
     const SleuthGnn &model_;

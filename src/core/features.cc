@@ -66,7 +66,7 @@ NormalProfile::finalize()
 namespace {
 
 /** Compose the lookup key into a reused per-thread buffer: these
-    lookups run once per span in the RCA and pruner hot loops, where a
+    lookups run once per span in the RCA hot loop, where a
     fresh std::string per call is measurable. */
 std::string_view
 keyView(const std::string &service, const std::string &name,

@@ -1,15 +1,12 @@
 #include "pipeline.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 
 #include "cluster/svdd.h"
 #include "core/pipeline_cache.h"
 #include "obs/metrics.h"
-#include "util/simd.h"
-#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace sleuth::core {
@@ -69,55 +66,6 @@ hashCombine(uint64_t h, uint64_t v)
 {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     return h;
-}
-
-/** Verdict-cache key component for a candidate filter. The non-zero
-    seed keeps an empty filter distinct from no filter at all. */
-uint64_t
-candidateHash(const std::vector<std::string> &list)
-{
-    uint64_t h = 0xca4d1da7e5ull;
-    for (const std::string &s : list)
-        h = hashCombine(h, util::fnv1a(s));
-    return h;
-}
-
-/**
- * Int8 trace signature for the quantization ablation: the L2-normalized
- * sum of each span's semantic embedding, quantized to int8. The sum and
- * normalization use only elementwise kernels (bitwise-stable under any
- * SIMD dispatch) and a strictly sequential norm reduction, so the
- * signature — and every distance derived from it, being an exact
- * integer dot — is independent of ISA and thread count.
- */
-embed::QuantizedEmbedding
-traceSignature(const trace::Trace &t, FeatureEncoder &enc)
-{
-    embed::TextEmbedder &emb = enc.embedder();
-    const size_t dim = emb.dim();
-    std::vector<double> acc(dim, 0.0);
-    for (const trace::Span &s : t.spans) {
-        const std::vector<double> &e =
-            emb.embed(s.service + " " + s.name + " " + toString(s.kind));
-        simd::add(acc.data(), e.data(), dim);
-    }
-    double norm2 = 0.0;
-    for (double v : acc)
-        norm2 += v * v;
-    if (norm2 > 0.0)
-        simd::div(acc.data(), std::sqrt(norm2), dim);
-    return embed::TextEmbedder::quantize(acc);
-}
-
-/** Packed 1 − cosine matrix over int8 signatures (exact integer math). */
-distance::DistanceMatrix
-int8DistanceMatrix(const std::vector<embed::QuantizedEmbedding> &sigs)
-{
-    return distance::DistanceMatrix::compute(
-        sigs.size(), [&](size_t i, size_t j) {
-            return std::max(0.0, 1.0 - embed::TextEmbedder::cosineQuantized(
-                                           sigs[i], sigs[j]));
-        });
 }
 
 /**
@@ -211,13 +159,11 @@ struct SleuthPipeline::Engine
     };
 
     util::ThreadPool pool;
-    FeatureEncoder &encoder0;
     CounterfactualRca rca0;
     std::vector<std::unique_ptr<PerWorker>> extra;
 
     explicit Engine(const SleuthPipeline &p)
         : pool(util::ThreadPool::resolveThreads(p.config_.numThreads)),
-          encoder0(p.encoder_),
           rca0(p.model_, p.encoder_, p.profile_, p.config_.rca)
     {
         extra.reserve(pool.size() - 1);
@@ -229,12 +175,6 @@ struct SleuthPipeline::Engine
     rcaFor(size_t worker)
     {
         return worker == 0 ? rca0 : extra[worker - 1]->rca;
-    }
-
-    FeatureEncoder &
-    encoderFor(size_t worker)
-    {
-        return worker == 0 ? encoder0 : extra[worker - 1]->encoder;
     }
 };
 
@@ -249,123 +189,17 @@ SleuthPipeline::SleuthPipeline(const SleuthGnn &model,
 
 PipelineResult
 SleuthPipeline::analyze(const std::vector<trace::Trace> &traces,
-                        const std::vector<int64_t> &slos) const
-{
-    return analyze(traces, slos, nullptr, nullptr);
-}
-
-PipelineResult
-SleuthPipeline::analyze(const std::vector<trace::Trace> &traces,
                         const std::vector<int64_t> &slos,
-                        const PruneSignals *signals,
                         PipelineCache *cache) const
 {
     SLEUTH_ASSERT(traces.size() == slos.size(),
                   "trace/slo count mismatch");
-    if (config_.prune.mode != PruneConfig::Mode::Off) {
-        RcaPruner pruner(profile_, config_.prune, config_.rca);
-        PrunePlan plan = pruner.plan(
-            traces, slos, signals != nullptr ? *signals : PruneSignals{});
-        return analyzeWithPlan(traces, slos, plan, cache);
-    }
     countBatch(traces.size());
-    std::vector<const trace::Trace *> ptrs(traces.size());
-    for (size_t i = 0; i < traces.size(); ++i)
-        ptrs[i] = &traces[i];
-    return analyzeImpl(ptrs, slos, nullptr, cache);
-}
-
-PipelineResult
-SleuthPipeline::analyzeWithPlan(const std::vector<trace::Trace> &traces,
-                                const std::vector<int64_t> &slos,
-                                const PrunePlan &plan,
-                                PipelineCache *cache) const
-{
     const size_t n = traces.size();
-    SLEUTH_ASSERT(slos.size() == n, "trace/slo count mismatch");
-    SLEUTH_ASSERT(plan.keep.size() == n && plan.inheritFrom.size() == n &&
-                      plan.restricted.size() == n &&
-                      plan.candidates.size() == n,
-                  "prune plan / trace count mismatch");
-    countBatch(n);
-
-    std::vector<size_t> kept;
-    kept.reserve(n);
+    std::vector<const trace::Trace *> ptrs(n);
     for (size_t i = 0; i < n; ++i)
-        if (plan.keep[i])
-            kept.push_back(i);
-
-    std::vector<const trace::Trace *> ptrs;
-    std::vector<int64_t> sub_slos;
-    AllowedLists sub_allowed;
-    ptrs.reserve(kept.size());
-    sub_slos.reserve(kept.size());
-    sub_allowed.reserve(kept.size());
-    bool any_restricted = false;
-    for (size_t i : kept) {
-        ptrs.push_back(&traces[i]);
-        sub_slos.push_back(slos[i]);
-        sub_allowed.push_back(plan.restricted[i] ? &plan.candidates[i]
-                                                 : nullptr);
-        any_restricted |= plan.restricted[i] != 0;
-    }
-    PipelineResult sub = analyzeImpl(
-        ptrs, sub_slos, any_restricted ? &sub_allowed : nullptr, cache);
-
-    PipelineResult out;
-    out.perTrace.resize(n);
-    out.clusterLabels.assign(n, -1);
-    out.numClusters = sub.numClusters;
-    out.rcaInvocations = sub.rcaInvocations;
-    out.distanceEvaluations = sub.distanceEvaluations;
-    out.skippedTraces = sub.skippedTraces;
-    for (size_t k = 0; k < kept.size(); ++k) {
-        out.perTrace[kept[k]] = std::move(sub.perTrace[k]);
-        out.clusterLabels[kept[k]] = sub.clusterLabels[k];
-    }
-    for (size_t i = 0; i < n; ++i) {
-        if (plan.keep[i])
-            continue;
-        int ex = plan.inheritFrom[i];
-        SLEUTH_ASSERT(ex >= 0 && static_cast<size_t>(ex) < n &&
-                          plan.keep[static_cast<size_t>(ex)],
-                      "pruned trace must inherit from a kept exemplar");
-        out.perTrace[i] = out.perTrace[static_cast<size_t>(ex)];
-        out.clusterLabels[i] = out.clusterLabels[static_cast<size_t>(ex)];
-        ++out.prunedTraces;
-    }
-    out.pruneTraceKeepRatio = plan.traceKeepRatio();
-    out.pruneServiceKeepRatio = plan.serviceKeepRatio();
-    static obs::Counter &pruned = obs::counter(
-        "sleuth_pipeline_pruned_traces_total",
-        "Traces whose verdict was inherited from a prune exemplar");
-    pruned.add(out.prunedTraces);
-    return out;
-}
-
-PipelineResult
-SleuthPipeline::analyzeImpl(
-    const std::vector<const trace::Trace *> &traces,
-    const std::vector<int64_t> &slos, const AllowedLists *allowed,
-    PipelineCache *cache) const
-{
-    SLEUTH_ASSERT(traces.size() == slos.size(),
-                  "trace/slo count mismatch");
-    SLEUTH_ASSERT(allowed == nullptr || allowed->size() == traces.size(),
-                  "candidate filter / trace count mismatch");
-    const size_t n = traces.size();
-    const bool int8dist =
-        config_.traceDistance ==
-        PipelineConfig::TraceDistanceKind::EmbeddingCosineInt8;
-    if (int8dist)
-        cache = nullptr; // pair cache keys require span-set encodings
+        ptrs[i] = &traces[i];
     Engine engine(*this);
-
-    std::vector<uint64_t> candHashes(n, 0);
-    if (allowed != nullptr)
-        for (size_t i = 0; i < n; ++i)
-            if ((*allowed)[i] != nullptr)
-                candHashes[i] = candidateHash(*(*allowed)[i]);
 
     // Content fingerprints drive every cache key; the whole-batch fast
     // path makes an unchanged snapshot cost one hash pass + one lookup.
@@ -374,7 +208,7 @@ SleuthPipeline::analyzeImpl(
     if (cache != nullptr) {
         fps.resize(n);
         engine.pool.parallelFor(n, [&](size_t i, size_t) {
-            fps[i] = PipelineCache::fingerprint(*traces[i]);
+            fps[i] = PipelineCache::fingerprint(traces[i]);
         });
         cache->beginBatch();
         batchKey = hashCombine(0x5ba7c45eull, n);
@@ -382,7 +216,6 @@ SleuthPipeline::analyzeImpl(
             batchKey = hashCombine(batchKey, fps[i]);
             batchKey =
                 hashCombine(batchKey, static_cast<uint64_t>(slos[i]));
-            batchKey = hashCombine(batchKey, candHashes[i]);
         }
         if (const PipelineResult *hit = cache->lookupBatch(batchKey))
             return *hit;
@@ -390,25 +223,23 @@ SleuthPipeline::analyzeImpl(
 
     PipelineResult out = [&]() -> PipelineResult {
         if (!config_.clustering)
-            return analyzeIndividualImpl(traces, slos, allowed, cache,
-                                         fps, candHashes, engine);
+            return analyzeIndividualImpl(ptrs, slos, cache, fps, engine);
 
-        // Default distance: weighted-Jaccard over encoded span sets,
-        // pre-encoded once per trace, then memoized into one packed
-        // matrix per batch (paper Eq. 1). Encoding validates each
-        // trace; malformed ones are compacted out so they neither
-        // crash the batch nor distort clustering. A cached encoding
-        // implies the trace was well-formed last time it was seen, so
-        // hits skip validation too.
+        // Weighted-Jaccard over encoded span sets, pre-encoded once per
+        // trace, then memoized into one packed matrix per batch (paper
+        // Eq. 1). Encoding validates each trace; malformed ones are
+        // compacted out so they neither crash the batch nor distort
+        // clustering. A cached encoding implies the trace was
+        // well-formed last time it was seen, so hits skip validation
+        // too.
         std::vector<std::string> errors(n);
-        std::vector<distance::WeightedSpanSet> sets(int8dist ? 0 : n);
-        std::vector<embed::QuantizedEmbedding> sigs(int8dist ? n : 0);
+        std::vector<distance::WeightedSpanSet> sets(n);
         std::vector<uint32_t> encIds(cache != nullptr ? n : 0);
         std::vector<char> needEncode(n, 1);
         if (cache != nullptr) {
             for (size_t i = 0; i < n; ++i) {
                 const distance::WeightedSpanSet *hit =
-                    cache->lookupEncoding(traces[i]->traceId, fps[i],
+                    cache->lookupEncoding(traces[i].traceId, fps[i],
                                           &encIds[i]);
                 if (hit != nullptr) {
                     sets[i] = *hit;
@@ -418,31 +249,23 @@ SleuthPipeline::analyzeImpl(
         }
         {
             obs::ScopedTimer timer(stageHistogram(Stage::Encode));
-            engine.pool.parallelFor(n, [&](size_t i, size_t w) {
+            engine.pool.parallelFor(n, [&](size_t i, size_t) {
                 if (!needEncode[i])
                     return;
                 trace::TraceGraph g;
                 std::string err;
-                if (!trace::TraceGraph::tryBuild(*traces[i], &g,
-                                                 &err)) {
+                if (!trace::TraceGraph::tryBuild(traces[i], &g, &err)) {
                     errors[i] = err;
                     return;
                 }
-                // Per-worker encoders: the embedding is a pure
-                // function of the string, so private caches change
-                // cost, not results.
-                if (int8dist)
-                    sigs[i] =
-                        traceSignature(*traces[i], engine.encoderFor(w));
-                else
-                    sets[i] = distance::encodeSpanSet(
-                        *traces[i], g, config_.distanceOpts);
+                sets[i] = distance::encodeSpanSet(traces[i], g,
+                                                  config_.distanceOpts);
             });
         }
         if (cache != nullptr)
             for (size_t i = 0; i < n; ++i)
                 if (needEncode[i] && errors[i].empty())
-                    cache->storeEncoding(traces[i]->traceId, fps[i],
+                    cache->storeEncoding(traces[i].traceId, fps[i],
                                          sets[i], &encIds[i]);
 
         std::vector<size_t> valid;
@@ -454,54 +277,40 @@ SleuthPipeline::analyzeImpl(
         if (valid.size() == n) {
             distance::DistanceMatrix dist = [&] {
                 obs::ScopedTimer timer(stageHistogram(Stage::Distance));
-                return int8dist
-                           ? int8DistanceMatrix(sigs)
-                           : cachedDistanceMatrix(sets, encIds, cache,
-                                                  engine.pool);
+                return cachedDistanceMatrix(sets, encIds, cache,
+                                            engine.pool);
             }();
-            return analyzeCore(traces, slos, dist, errors, engine,
-                               allowed, cache, fps, candHashes);
+            return analyzeCore(ptrs, slos, dist, errors, engine, cache,
+                               fps);
         }
 
         // Compact the well-formed subset, analyze it, scatter back.
-        std::vector<const trace::Trace *> ptrs;
+        std::vector<const trace::Trace *> sub_ptrs;
         std::vector<int64_t> sub_slos;
         std::vector<distance::WeightedSpanSet> sub_sets;
-        std::vector<embed::QuantizedEmbedding> sub_sigs;
-        AllowedLists sub_allowed;
         std::vector<uint64_t> sub_fps;
-        std::vector<uint64_t> sub_ch;
         std::vector<uint32_t> sub_enc;
-        ptrs.reserve(valid.size());
+        sub_ptrs.reserve(valid.size());
         sub_slos.reserve(valid.size());
-        sub_sets.reserve(int8dist ? 0 : valid.size());
-        sub_sigs.reserve(int8dist ? valid.size() : 0);
+        sub_sets.reserve(valid.size());
         for (size_t i : valid) {
-            ptrs.push_back(traces[i]);
+            sub_ptrs.push_back(ptrs[i]);
             sub_slos.push_back(slos[i]);
-            if (int8dist)
-                sub_sigs.push_back(std::move(sigs[i]));
-            else
-                sub_sets.push_back(std::move(sets[i]));
-            if (allowed != nullptr)
-                sub_allowed.push_back((*allowed)[i]);
+            sub_sets.push_back(std::move(sets[i]));
             if (cache != nullptr) {
                 sub_fps.push_back(fps[i]);
-                sub_ch.push_back(candHashes[i]);
                 sub_enc.push_back(encIds[i]);
             }
         }
         distance::DistanceMatrix sub_dist = [&] {
             obs::ScopedTimer timer(stageHistogram(Stage::Distance));
-            return int8dist ? int8DistanceMatrix(sub_sigs)
-                            : cachedDistanceMatrix(sub_sets, sub_enc,
-                                                   cache, engine.pool);
+            return cachedDistanceMatrix(sub_sets, sub_enc, cache,
+                                        engine.pool);
         }();
         PipelineResult sub = analyzeCore(
-            ptrs, sub_slos, sub_dist,
-            std::vector<std::string>(valid.size()), engine,
-            allowed != nullptr ? &sub_allowed : nullptr, cache,
-            sub_fps, sub_ch);
+            sub_ptrs, sub_slos, sub_dist,
+            std::vector<std::string>(valid.size()), engine, cache,
+            sub_fps);
 
         PipelineResult scattered;
         scattered.perTrace.resize(n);
@@ -536,8 +345,7 @@ SleuthPipeline::analyzeWithDistance(
         for (size_t i = 0; i < traces.size(); ++i)
             ptrs[i] = &traces[i];
         Engine engine(*this);
-        return analyzeIndividualImpl(ptrs, slos, nullptr, nullptr, {},
-                                     {}, engine);
+        return analyzeIndividualImpl(ptrs, slos, nullptr, {}, engine);
     }
     return analyzeWithMatrix(
         traces, slos,
@@ -547,9 +355,8 @@ SleuthPipeline::analyzeWithDistance(
 PipelineResult
 SleuthPipeline::analyzeIndividualImpl(
     const std::vector<const trace::Trace *> &traces,
-    const std::vector<int64_t> &slos, const AllowedLists *allowed,
-    PipelineCache *cache, const std::vector<uint64_t> &fps,
-    const std::vector<uint64_t> &candHashes, Engine &engine) const
+    const std::vector<int64_t> &slos, PipelineCache *cache,
+    const std::vector<uint64_t> &fps, Engine &engine) const
 {
     const size_t n = traces.size();
     PipelineResult out;
@@ -563,7 +370,7 @@ SleuthPipeline::analyzeIndividualImpl(
     if (cache != nullptr) {
         for (size_t i = 0; i < n; ++i) {
             const RcaResult *hit = cache->lookupVerdict(
-                traces[i]->traceId, fps[i], slos[i], candHashes[i]);
+                traces[i]->traceId, fps[i], slos[i]);
             if (hit != nullptr) {
                 out.perTrace[i] = *hit;
                 done[i] = 1;
@@ -597,15 +404,13 @@ SleuthPipeline::analyzeIndividualImpl(
         engine.pool.parallelFor(runnable.size(), [&](size_t k,
                                                      size_t w) {
             size_t i = runnable[k];
-            out.perTrace[i] = engine.rcaFor(w).analyze(
-                *traces[i], slos[i],
-                allowed != nullptr ? (*allowed)[i] : nullptr);
+            out.perTrace[i] = engine.rcaFor(w).analyze(*traces[i], slos[i]);
         });
     }
     if (cache != nullptr)
         for (size_t i : runnable)
             cache->storeVerdict(traces[i]->traceId, fps[i], slos[i],
-                                candHashes[i], out.perTrace[i]);
+                                out.perTrace[i]);
     out.rcaInvocations = n - out.skippedTraces;
     return out;
 }
@@ -641,9 +446,7 @@ SleuthPipeline::analyzeCore(
     const std::vector<int64_t> &slos,
     const distance::DistanceMatrix &dist,
     const std::vector<std::string> &errors, Engine &engine,
-    const AllowedLists *allowed, PipelineCache *cache,
-    const std::vector<uint64_t> &fps,
-    const std::vector<uint64_t> &candHashes) const
+    PipelineCache *cache, const std::vector<uint64_t> &fps) const
 {
     SLEUTH_ASSERT(dist.size() == traces.size(),
                   "distance matrix / trace count mismatch");
@@ -700,14 +503,10 @@ SleuthPipeline::analyzeCore(
     out.clusterLabels = clusters.labels;
     out.numClusters = clusters.numClusters;
 
-    // Candidate filter / verdict-cache plumbing for one trace.
-    auto allowedFor = [&](size_t i) {
-        return allowed != nullptr ? (*allowed)[i] : nullptr;
-    };
     auto cachedVerdict = [&](size_t i) -> const RcaResult * {
         return cache != nullptr
                    ? cache->lookupVerdict(traces[i]->traceId, fps[i],
-                                          slos[i], candHashes[i])
+                                          slos[i])
                    : nullptr;
     };
 
@@ -733,14 +532,14 @@ SleuthPipeline::analyzeCore(
     engine.pool.parallelFor(miss_clusters.size(), [&](size_t k,
                                                       size_t w) {
         size_t c = miss_clusters[k];
-        verdicts[c] = engine.rcaFor(w).analyze(
-            *traces[reps[c]], slos[reps[c]], allowedFor(reps[c]));
+        verdicts[c] =
+            engine.rcaFor(w).analyze(*traces[reps[c]], slos[reps[c]]);
     });
     if (cache != nullptr)
         for (size_t c : miss_clusters) {
             size_t i = reps[c];
             cache->storeVerdict(traces[i]->traceId, fps[i], slos[i],
-                                candHashes[i], verdicts[c]);
+                                verdicts[c]);
         }
     out.rcaInvocations += num_clusters;
     for (int c = 0; c < clusters.numClusters; ++c) {
@@ -773,13 +572,12 @@ SleuthPipeline::analyzeCore(
     }
     engine.pool.parallelFor(miss_rest.size(), [&](size_t k, size_t w) {
         size_t i = miss_rest[k];
-        out.perTrace[i] = engine.rcaFor(w).analyze(
-            *traces[i], slos[i], allowedFor(i));
+        out.perTrace[i] = engine.rcaFor(w).analyze(*traces[i], slos[i]);
     });
     if (cache != nullptr)
         for (size_t i : miss_rest)
             cache->storeVerdict(traces[i]->traceId, fps[i], slos[i],
-                                candHashes[i], out.perTrace[i]);
+                                out.perTrace[i]);
     out.rcaInvocations += rest.size();
     static obs::Counter &rcaRuns = obs::counter(
         "sleuth_pipeline_rca_invocations_total",

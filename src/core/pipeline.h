@@ -9,14 +9,12 @@
  * whole cluster. Noise traces are analyzed individually. Clustering
  * cuts ML inference by orders of magnitude during incident storms.
  *
- * Two adaptive layers sit around the core pipeline (DESIGN.md §3.14):
- * an interpretable pre-pruning stage (RcaPruner) that shrinks the
- * candidate service/span graph before anything is encoded, and a
- * cross-poll incremental cache (PipelineCache) that memoizes per-trace
- * encodings, per-pair distances, and per-trace verdicts between
- * analyses of overlapping snapshots.
+ * An optional cross-poll incremental cache (PipelineCache, DESIGN.md
+ * §3.14) memoizes per-trace encodings, per-pair distances, and
+ * per-trace verdicts between analyses of overlapping snapshots.
  */
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <utility>
@@ -24,7 +22,6 @@
 
 #include "cluster/hdbscan.h"
 #include "core/counterfactual.h"
-#include "core/pruner.h"
 #include "distance/distance_matrix.h"
 #include "distance/trace_distance.h"
 
@@ -38,24 +35,6 @@ struct PipelineConfig
     /** Clustering algorithm choice. */
     enum class Algorithm { Hdbscan, Dbscan };
 
-    /** Trace-distance choice for the default analyze() clustering. */
-    enum class TraceDistanceKind
-    {
-        /** Weighted Jaccard over encoded span sets (paper Eq. 1). */
-        WeightedJaccard,
-        /**
-         * Quantization ablation: 1 − cosine over int8 per-trace
-         * embeddings (the L2-normalized sum of each span's semantic
-         * embedding, quantized to int8). Distances track the float
-         * cosine within ~0.02 absolute (DESIGN.md §3.12) at a quarter
-         * of the bytes per trace signature. Only affects analyze();
-         * analyzeWithDistance/analyzeWithMatrix use their caller's
-         * distance as before. The incremental cache is bypassed in
-         * this mode (it keys pairwise distances by span-set encoding).
-         */
-        EmbeddingCosineInt8,
-    };
-
     /** Cluster before RCA (disable to analyze every trace). */
     bool clustering = true;
     /** HDBSCAN (paper §3.3.2) or plain DBSCAN (paper §3.1). */
@@ -66,12 +45,8 @@ struct PipelineConfig
     cluster::DbscanParams dbscan{0.3, 4};
     /** Span-identifier options for the trace distance. */
     distance::SpanSetOptions distanceOpts;
-    /** Distance used by analyze() (Jaccard default; int8 ablation). */
-    TraceDistanceKind traceDistance = TraceDistanceKind::WeightedJaccard;
     /** RCA knobs. */
     RcaParams rca;
-    /** Pre-pruning stage (off by default; DESIGN.md §3.14). */
-    PruneConfig prune;
     /**
      * Members farther than this from their cluster's representative
      * fall back to individual RCA instead of inheriting its verdict
@@ -121,12 +96,6 @@ struct PipelineResult
      * label -1; well-formed traces in the same batch are unaffected.
      */
     size_t skippedTraces = 0;
-    /** Traces not analyzed (verdict inherited from a prune exemplar). */
-    size_t prunedTraces = 0;
-    /** Fraction of traces that went through the full pipeline. */
-    double pruneTraceKeepRatio = 1.0;
-    /** Fraction of candidate services that survived pruning. */
-    double pruneServiceKeepRatio = 1.0;
 };
 
 /**
@@ -147,39 +116,33 @@ class SleuthPipeline
                    const NormalProfile &profile, PipelineConfig config);
 
     /**
-     * Analyze a batch of anomalous traces.
+     * Analyze a batch of anomalous traces: encode, distance matrix,
+     * cluster, RCA. When cache is non-null, encodings, distances, and
+     * verdicts memoized from previous polls are reused and fresh ones
+     * inserted (the cache must always be paired with the same pipeline
+     * configuration). Results are bitwise identical to the cache-free
+     * run of the same batch.
      *
      * @param traces the anomalous traces
      * @param slos per-trace latency SLO in microseconds
-     */
-    PipelineResult analyze(const std::vector<trace::Trace> &traces,
-                           const std::vector<int64_t> &slos) const;
-
-    /**
-     * As analyze(), with the adaptive layers: when config.prune.mode is
-     * not Off a prune plan is computed first (fed by the optional
-     * per-endpoint detector signals) and applied as by
-     * analyzeWithPlan(); when cache is non-null, encodings, distances,
-     * and verdicts memoized from previous polls are reused and fresh
-     * ones inserted (the cache must always be paired with the same
-     * pipeline configuration). Results are bitwise identical to the
-     * cache-free run of the same batch.
+     * @param cache optional cross-poll incremental cache
      */
     PipelineResult analyze(const std::vector<trace::Trace> &traces,
                            const std::vector<int64_t> &slos,
-                           const PruneSignals *signals,
-                           PipelineCache *cache) const;
+                           PipelineCache *cache = nullptr) const;
 
     /**
-     * Analyze under an explicit prune plan (normally produced by
-     * RcaPruner over this batch): pruned traces skip the pipeline and
-     * inherit their exemplar's verdict and cluster label; restricted
-     * traces run the RCA over their reduced candidate set.
+     * Forwards to analyze(traces, slos, cache). Kept only for the
+     * benchmark's serve workload (sleuthbench/src/serve.cc), which
+     * still calls the former four-argument form
+     * analyze(traces, slos, nullptr, cache).
      */
-    PipelineResult analyzeWithPlan(
-        const std::vector<trace::Trace> &traces,
-        const std::vector<int64_t> &slos, const PrunePlan &plan,
-        PipelineCache *cache = nullptr) const;
+    PipelineResult analyze(const std::vector<trace::Trace> &traces,
+                           const std::vector<int64_t> &slos,
+                           std::nullptr_t, PipelineCache *cache) const
+    {
+        return analyze(traces, slos, cache);
+    }
 
     /**
      * As analyze(), but clustering uses a caller-provided distance
@@ -210,43 +173,27 @@ class SleuthPipeline
      */
     struct Engine;
 
-    /** Per-trace candidate filter (nullptr entry = unrestricted). */
-    using AllowedLists = std::vector<const std::vector<std::string> *>;
-
-    /**
-     * The shared batch implementation behind every analyze flavor:
-     * honors the clustering flag, the optional per-trace candidate
-     * filters, and the optional incremental cache.
-     */
-    PipelineResult analyzeImpl(
-        const std::vector<const trace::Trace *> &traces,
-        const std::vector<int64_t> &slos, const AllowedLists *allowed,
-        PipelineCache *cache) const;
-
     /** Per-trace RCA for every input (the clustering-off path). */
     PipelineResult analyzeIndividualImpl(
         const std::vector<const trace::Trace *> &traces,
-        const std::vector<int64_t> &slos, const AllowedLists *allowed,
-        PipelineCache *cache, const std::vector<uint64_t> &fps,
-        const std::vector<uint64_t> &candHashes, Engine &engine) const;
+        const std::vector<int64_t> &slos, PipelineCache *cache,
+        const std::vector<uint64_t> &fps, Engine &engine) const;
 
     /**
      * Clustered analysis over a batch addressed by pointer, with
      * malformed traces pre-marked (errors[i] non-empty): they get an
      * error verdict, label -1, and never reach the RCA. dist must
      * cover all of traces (malformed rows included, as provided by
-     * the caller of analyzeWithMatrix). allowed/cache/fps/candHashes
-     * follow analyzeImpl (empty fps/candHashes when cache is null).
+     * the caller of analyzeWithMatrix). fps holds the traces' cache
+     * fingerprints (empty when cache is null).
      */
     PipelineResult analyzeCore(
         const std::vector<const trace::Trace *> &traces,
         const std::vector<int64_t> &slos,
         const distance::DistanceMatrix &dist,
         const std::vector<std::string> &errors, Engine &engine,
-        const AllowedLists *allowed = nullptr,
         PipelineCache *cache = nullptr,
-        const std::vector<uint64_t> &fps = {},
-        const std::vector<uint64_t> &candHashes = {}) const;
+        const std::vector<uint64_t> &fps = {}) const;
 
     const SleuthGnn &model_;
     FeatureEncoder &encoder_;

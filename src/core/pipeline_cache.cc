@@ -233,7 +233,7 @@ PipelineCache::storeMatrix(const std::vector<uint32_t> &encIds,
 
 const RcaResult *
 PipelineCache::lookupVerdict(const std::string &traceId, uint64_t fp,
-                             int64_t sloUs, uint64_t candidatesHash)
+                             int64_t sloUs)
 {
     auto it = entries_.find(traceId);
     if (it != entries_.end() && it->second.fp != fp) {
@@ -245,7 +245,7 @@ PipelineCache::lookupVerdict(const std::string &traceId, uint64_t fp,
         cacheCounter("verdict", "miss").add();
         return nullptr;
     }
-    auto v = it->second.verdicts.find({sloUs, candidatesHash});
+    auto v = it->second.verdicts.find(sloUs);
     if (v == it->second.verdicts.end()) {
         ++stats_.verdictMisses;
         cacheCounter("verdict", "miss").add();
@@ -259,15 +259,14 @@ PipelineCache::lookupVerdict(const std::string &traceId, uint64_t fp,
 
 void
 PipelineCache::storeVerdict(const std::string &traceId, uint64_t fp,
-                            int64_t sloUs, uint64_t candidatesHash,
-                            RcaResult verdict)
+                            int64_t sloUs, RcaResult verdict)
 {
     Entry &e = entries_[traceId];
     if (e.encId == 0)
         e.encId = nextEncId_++;
     e.fp = fp;
     e.lastGen = generation_;
-    e.verdicts[{sloUs, candidatesHash}] = std::move(verdict);
+    e.verdicts[sloUs] = std::move(verdict);
 }
 
 const PipelineResult *

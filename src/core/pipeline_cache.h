@@ -11,7 +11,7 @@
  *
  *  - span-set encodings, keyed by (traceId, content fingerprint);
  *  - weighted-Jaccard distances, keyed by the encoding-id pair;
- *  - RCA verdicts, keyed by (fingerprint, SLO, candidate-filter hash);
+ *  - RCA verdicts, keyed by (fingerprint, SLO);
  *  - whole batch results, keyed by the fingerprint+SLO sequence (the
  *    unchanged-snapshot fast path; cluster assignments are only
  *    reusable wholesale, because clustering is a function of the full
@@ -128,13 +128,11 @@ class PipelineCache
     void storeMatrix(const std::vector<uint32_t> &encIds,
                      const distance::DistanceMatrix &m);
 
-    /** Cached RCA verdict (key includes SLO + candidate-filter hash). */
+    /** Cached RCA verdict (key includes the SLO). */
     const RcaResult *lookupVerdict(const std::string &traceId,
-                                   uint64_t fp, int64_t sloUs,
-                                   uint64_t candidatesHash);
+                                   uint64_t fp, int64_t sloUs);
     void storeVerdict(const std::string &traceId, uint64_t fp,
-                      int64_t sloUs, uint64_t candidatesHash,
-                      RcaResult verdict);
+                      int64_t sloUs, RcaResult verdict);
 
     /** Unchanged-snapshot fast path: the whole previous result. */
     const PipelineResult *lookupBatch(uint64_t batchKey);
@@ -156,8 +154,8 @@ class PipelineCache
         uint64_t lastGen = 0;
         bool hasSet = false;
         distance::WeightedSpanSet set;
-        /** (sloUs, candidatesHash) -> verdict. */
-        std::map<std::pair<int64_t, uint64_t>, RcaResult> verdicts;
+        /** sloUs -> verdict. */
+        std::map<int64_t, RcaResult> verdicts;
     };
 
     static uint64_t pairKey(uint32_t a, uint32_t b);

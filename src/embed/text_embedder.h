@@ -31,21 +31,6 @@ namespace sleuth::embed {
  */
 std::vector<std::string> preprocess(const std::string &text);
 
-/**
- * An embedding quantized to int8 fixed point: q[i] = round(x[i]*127),
- * valid for L2-normalized inputs (|x[i]| <= 1). The quantized cosine
- * runs in integer arithmetic (exact under any SIMD dispatch) and
- * tracks the float cosine within the declared tolerance of ~0.02 for
- * 32-d unit vectors.
- */
-struct QuantizedEmbedding
-{
-    std::vector<int8_t> q;
-
-    /** True for the all-zero embedding (no tokens). */
-    bool zero() const;
-};
-
 /** Deterministic token-hash sentence embedder with a per-string cache. */
 class TextEmbedder
 {
@@ -67,22 +52,6 @@ class TextEmbedder
     static double cosine(const std::vector<double> &a,
                          const std::vector<double> &b);
 
-    /**
-     * Int8 fixed-point embedding of a text (cached per distinct
-     * string); quantized from the float embedding.
-     */
-    const QuantizedEmbedding &embedQuantized(const std::string &text);
-
-    /** Quantize an L2-normalized embedding to int8 fixed point. */
-    static QuantizedEmbedding quantize(const std::vector<double> &v);
-
-    /**
-     * Cosine similarity in int8 fixed point (0 when either is zero).
-     * Integer dot products: bitwise-identical for scalar and SIMD.
-     */
-    static double cosineQuantized(const QuantizedEmbedding &a,
-                                  const QuantizedEmbedding &b);
-
     /** Number of distinct strings cached so far. */
     size_t cacheSize() const { return cache_.size(); }
 
@@ -92,7 +61,6 @@ class TextEmbedder
 
     size_t dim_;
     std::unordered_map<std::string, std::vector<double>> cache_;
-    std::unordered_map<std::string, QuantizedEmbedding> qcache_;
 };
 
 } // namespace sleuth::embed

@@ -203,7 +203,10 @@ StormDetector::decodeState(util::BinaryReader &r)
         std::string name = r.str();
         Endpoint ep;
         ep.storming = r.u8() != 0;
-        uint32_t slots = r.u32();
+        // A bucket encodes four 64-bit fields plus a sketch of at
+        // least 36 bytes (alpha, bucket cap, two counts, and its u32
+        // bucket count).
+        uint32_t slots = r.count(4 * 8 + 36);
         ep.ring.resize(slots);
         for (Bucket &b : ep.ring) {
             b.index = r.i64();

@@ -11,7 +11,28 @@ namespace sleuth::online {
 namespace {
 
 /** Version of every durable payload layout (epoch + snapshot). */
-constexpr uint32_t kStateFormatVersion = 1;
+constexpr uint32_t kStateFormatVersion = 2;
+
+/** Read a payload's leading format version; false + *err naming the
+    payload's version and this build's when they differ. */
+bool
+readFormatVersion(util::BinaryReader &r, const char *what,
+                  std::string *err)
+{
+    uint32_t version = r.u32();
+    if (!r.ok()) {
+        *err = std::string("short ") + what + " payload";
+        return false;
+    }
+    if (version != kStateFormatVersion) {
+        *err = std::string("unsupported ") + what +
+               " format version " + std::to_string(version) +
+               " (this build reads version " +
+               std::to_string(kStateFormatVersion) + ")";
+        return false;
+    }
+    return true;
+}
 
 void
 encodeDetectorConfig(util::BinaryWriter &w, const DetectorConfig &c)
@@ -70,7 +91,7 @@ decodePollMarkerPayload(std::string_view payload, PollMarkerPayload *m)
     m->storeRecords = r.u64();
     m->storeSpans = r.u64();
     m->internerSize = r.u64();
-    uint32_t n = r.u32();
+    uint32_t n = r.count(8);
     m->advanceWatermarks.clear();
     m->advanceWatermarks.reserve(n);
     for (uint32_t i = 0; i < n && r.ok(); ++i)
@@ -243,12 +264,17 @@ encodeEpochPayload(const DetectorConfig &config)
 }
 
 bool
-decodeEpochPayload(std::string_view payload, DetectorConfig *config)
+decodeEpochPayload(std::string_view payload, DetectorConfig *config,
+                   std::string *err)
 {
     util::BinaryReader r(payload);
-    if (r.u32() != kStateFormatVersion)
+    if (!readFormatVersion(r, "epoch", err))
         return false;
-    return decodeDetectorConfig(r, config) && r.remaining() == 0;
+    if (!decodeDetectorConfig(r, config) || r.remaining() != 0) {
+        *err = "corrupt epoch record";
+        return false;
+    }
+    return true;
 }
 
 std::string
@@ -372,10 +398,8 @@ decodeSnapshotPayload(std::string_view payload,
                       DurableServingState *state, std::string *err)
 {
     util::BinaryReader r(payload);
-    if (r.u32() != kStateFormatVersion) {
-        *err = "unsupported snapshot format version";
+    if (!readFormatVersion(r, "snapshot", err))
         return false;
-    }
     DurableServingState s;
     if (!decodeDetectorConfig(r, &s.detectorConfig)) {
         *err = "corrupt snapshot detector config";
@@ -390,7 +414,7 @@ decodeSnapshotPayload(std::string_view payload,
         *err = "corrupt snapshot detector section";
         return false;
     }
-    uint32_t nIncidents = r.u32();
+    uint32_t nIncidents = r.count(kMinEncodedIncidentBytes);
     s.incidents.resize(nIncidents);
     for (uint32_t i = 0; i < nIncidents && r.ok(); ++i) {
         if (!decodeIncident(r, &s.incidents[i])) {
@@ -451,8 +475,9 @@ replayRecoveredLog(const durable::RecoveredLog &log,
         switch (f.kind) {
           case durable::RecordKind::Epoch: {
             DetectorConfig logged;
-            if (!decodeEpochPayload(f.payload, &logged)) {
-                fail(info, "corrupt epoch record");
+            std::string err;
+            if (!decodeEpochPayload(f.payload, &logged, &err)) {
+                fail(info, err);
                 return state;
             }
             if (!haveConfig) {

@@ -118,10 +118,12 @@ struct PollMarkerPayload
 };
 
 /** Epoch payload: format version + the detection configuration a
-    config-free reader (CLI compact) needs to replay the log. */
+    config-free reader (CLI compact) needs to replay the log. Decoding
+    returns false + *err on a version mismatch (naming both versions)
+    or a corrupt record. */
 std::string encodeEpochPayload(const DetectorConfig &config);
-bool decodeEpochPayload(std::string_view payload,
-                        DetectorConfig *config);
+bool decodeEpochPayload(std::string_view payload, DetectorConfig *config,
+                        std::string *err);
 
 /** InternerDelta payload: first id + the new strings in id order. */
 std::string

@@ -67,6 +67,20 @@ toJson(const Incident &incident)
 
 namespace {
 
+/**
+ * Fewest encoded bytes per item, the bound BinaryReader::count()
+ * checks a decoded count against: a string is its u32 length prefix;
+ * a span is seven strings, two u8 enums and two i64 timestamps; a
+ * trace is its id plus a span count; a verdict is three string sets,
+ * one string list, one string and a u64 + u8.
+ */
+constexpr size_t kMinStringBytes = 4;
+constexpr size_t kMinSpanBytes = 7 * kMinStringBytes + 2 + 2 * 8;
+constexpr size_t kMinTraceBytes = kMinStringBytes + 4;
+constexpr size_t kMinRcaBytes = 5 * kMinStringBytes + 8 + 1;
+/** One ranked root cause: service string + u64 votes. */
+constexpr size_t kMinRankedBytes = kMinStringBytes + 8;
+
 /** Row-oriented trace codec: incidents snapshot materialized traces,
     so they serialize by rows (the store's columns are logged
     separately and the two must not share an interner). */
@@ -94,7 +108,7 @@ bool
 decodeTrace(util::BinaryReader &r, trace::Trace *t)
 {
     t->traceId = r.str();
-    uint32_t n = r.u32();
+    uint32_t n = r.count(kMinSpanBytes);
     t->spans.clear();
     t->spans.reserve(n);
     for (uint32_t i = 0; i < n && r.ok(); ++i) {
@@ -127,7 +141,7 @@ encodeStringVec(util::BinaryWriter &w,
 bool
 decodeStringVec(util::BinaryReader &r, std::vector<std::string> *v)
 {
-    uint32_t n = r.u32();
+    uint32_t n = r.count(kMinStringBytes);
     v->clear();
     v->reserve(n);
     for (uint32_t i = 0; i < n && r.ok(); ++i)
@@ -193,21 +207,18 @@ encodePipelineResult(util::BinaryWriter &w,
     w.u64(v.rcaInvocations);
     w.u64(v.distanceEvaluations);
     w.u64(v.skippedTraces);
-    w.u64(v.prunedTraces);
-    w.f64(v.pruneTraceKeepRatio);
-    w.f64(v.pruneServiceKeepRatio);
 }
 
 bool
 decodePipelineResult(util::BinaryReader &r, core::PipelineResult *v)
 {
-    uint32_t n = r.u32();
+    uint32_t n = r.count(kMinRcaBytes);
     v->perTrace.clear();
     v->perTrace.resize(n);
     for (uint32_t i = 0; i < n && r.ok(); ++i)
         if (!decodeRca(r, &v->perTrace[i]))
             return false;
-    uint32_t labels = r.u32();
+    uint32_t labels = r.count(8);
     v->clusterLabels.clear();
     v->clusterLabels.reserve(labels);
     for (uint32_t i = 0; i < labels && r.ok(); ++i)
@@ -216,9 +227,6 @@ decodePipelineResult(util::BinaryReader &r, core::PipelineResult *v)
     v->rcaInvocations = r.u64();
     v->distanceEvaluations = r.u64();
     v->skippedTraces = r.u64();
-    v->prunedTraces = r.u64();
-    v->pruneTraceKeepRatio = r.f64();
-    v->pruneServiceKeepRatio = r.f64();
     return r.ok();
 }
 
@@ -271,18 +279,18 @@ decodeIncident(util::BinaryReader &r, Incident *incident)
     incident->windowStartUs = r.i64();
     incident->windowEndUs = r.i64();
     incident->snapshotMaxRecordId = r.u64();
-    uint32_t nAnomalous = r.u32();
+    uint32_t nAnomalous = r.count(kMinTraceBytes);
     incident->anomalousTraces.clear();
     incident->anomalousTraces.resize(nAnomalous);
     for (uint32_t i = 0; i < nAnomalous && r.ok(); ++i)
         if (!decodeTrace(r, &incident->anomalousTraces[i]))
             return false;
-    uint32_t nSlos = r.u32();
+    uint32_t nSlos = r.count(8);
     incident->slos.clear();
     incident->slos.reserve(nSlos);
     for (uint32_t i = 0; i < nSlos && r.ok(); ++i)
         incident->slos.push_back(r.i64());
-    uint32_t nNormal = r.u32();
+    uint32_t nNormal = r.count(kMinTraceBytes);
     incident->normalSample.clear();
     incident->normalSample.resize(nNormal);
     for (uint32_t i = 0; i < nNormal && r.ok(); ++i)
@@ -291,7 +299,7 @@ decodeIncident(util::BinaryReader &r, Incident *incident)
     incident->normalsConsidered = r.u64();
     if (!decodePipelineResult(r, &incident->rca))
         return false;
-    uint32_t nRanked = r.u32();
+    uint32_t nRanked = r.count(kMinRankedBytes);
     incident->rankedRootCauses.clear();
     incident->rankedRootCauses.reserve(nRanked);
     for (uint32_t i = 0; i < nRanked && r.ok(); ++i) {

@@ -91,4 +91,8 @@ void encodeIncident(util::BinaryWriter &w, const Incident &incident);
 /** Inverse of encodeIncident(); false on short/invalid input. */
 bool decodeIncident(util::BinaryReader &r, Incident *incident);
 
+/** Fewest bytes encodeIncident() writes (every list empty): the
+    per-item bound for decoding a count of incidents. */
+constexpr size_t kMinEncodedIncidentBytes = 133;
+
 } // namespace sleuth::online

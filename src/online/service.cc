@@ -543,26 +543,9 @@ OnlineService::analyzeIncident(Incident *incident, int64_t watermark_us)
         incident->detectionLatencyUs = incident->openedAtUs - earliest;
     }
 
-    // Per-endpoint anomaly signals for the pre-pruning stage, straight
-    // from the detector's already-maintained window sketches (only
-    // consulted when the pipeline's prune mode is on).
-    core::PruneSignals signals;
-    for (const std::string &e : incident->endpoints) {
-        WindowStats ws = detector_.windowStats(e, watermark_us);
-        core::EndpointSignal sig;
-        sig.anomalousFraction =
-            ws.count > 0 ? static_cast<double>(ws.anomalous) /
-                               static_cast<double>(ws.count)
-                         : 0.0;
-        sig.errors = ws.errors;
-        sig.p50Us = ws.p50Us;
-        sig.p99Us = ws.p99Us;
-        signals[e] = sig;
-    }
-
     auto t0 = std::chrono::steady_clock::now();
     incident->rca = pipeline_.analyze(
-        incident->anomalousTraces, incident->slos, &signals,
+        incident->anomalousTraces, incident->slos,
         config_.incrementalCache ? &cache_ : nullptr);
     auto t1 = std::chrono::steady_clock::now();
     incident->rcaMillis =

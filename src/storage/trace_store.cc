@@ -152,7 +152,11 @@ TraceStore::evictOne(size_t id)
         if (svc_it == by_service_.end())
             continue;
         std::vector<size_t> &ids = svc_it->second;
-        ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
+        // Each id is listed once per service, and oldest-first eviction
+        // finds it at the front: stop there instead of scanning the list.
+        auto pos = std::find(ids.begin(), ids.end(), id);
+        if (pos != ids.end())
+            ids.erase(pos);
         if (ids.empty())
             by_service_.erase(svc_it);
     }

@@ -10,7 +10,9 @@
  * flat byte string whose integrity is guarded by an outer CRC32C, so
  * the reader's only job is bounds checking — a read past the end flips
  * a sticky error flag instead of crashing, and callers check ok()
- * once at the end of a decode.
+ * once at the end of a decode. Counts that size a container are read
+ * with count(), which refuses any count the remaining bytes cannot
+ * hold.
  */
 
 #include <cstdint>
@@ -131,6 +133,23 @@ class BinaryReader
         std::string out(data_.substr(pos_, n));
         pos_ += n;
         return out;
+    }
+
+    /**
+     * A u32 element count for a sequence whose items each encode to at
+     * least minItemBytes (> 0) bytes. A count the remaining bytes
+     * cannot hold sets the sticky error and returns 0, so an untrusted
+     * length field never sizes an allocation beyond the payload.
+     */
+    uint32_t
+    count(size_t minItemBytes)
+    {
+        uint32_t n = u32();
+        if (ok_ && static_cast<uint64_t>(n) * minItemBytes > remaining()) {
+            ok_ = false;
+            return 0;
+        }
+        return n;
     }
 
     /** Raw view of the next n bytes (empty + error when short). */

@@ -268,10 +268,18 @@ class Parser
             return Json();
         }
         char c = text_[pos_];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
+        if (c == '{' || c == '[') {
+            // Bounded recursion: untrusted payloads must not be able to
+            // exhaust the stack.
+            if (depth_ == Json::kMaxParseDepth) {
+                fail("nesting too deep");
+                return Json();
+            }
+            ++depth_;
+            Json v = c == '{' ? object() : array();
+            --depth_;
+            return v;
+        }
         if (c == '"')
             return Json(string());
         if (c == 't') {
@@ -494,6 +502,7 @@ class Parser
     const std::string &text_;
     std::string *error_;
     size_t pos_ = 0;
+    int depth_ = 0;
     bool failed_ = false;
 };
 

@@ -87,8 +87,13 @@ class Json
     /** Serialize compactly; indent > 0 pretty-prints. */
     std::string dump(int indent = 0) const;
 
+    /** Deepest array/object nesting parse() accepts. */
+    static constexpr int kMaxParseDepth = 256;
+
     /**
-     * Parse a JSON document.
+     * Parse a JSON document. Nesting deeper than kMaxParseDepth is a
+     * parse error ("nesting too deep at offset N"), so untrusted input
+     * cannot overflow the stack.
      *
      * @param text full document text
      * @param error receives a description when parsing fails

@@ -159,15 +159,6 @@ sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
     return ((l0 + l1) + (l2 + l3)) + singles;
 }
 
-int64_t
-dotI8(const int8_t *a, const int8_t *b, size_t n)
-{
-    int64_t acc = 0;
-    for (size_t i = 0; i < n; ++i)
-        acc += static_cast<int64_t>(a[i]) * static_cast<int64_t>(b[i]);
-    return acc;
-}
-
 } // namespace scalar
 
 #if SLEUTH_AVX2_BODIES
@@ -303,30 +294,6 @@ sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
     return ((lane[0] + lane[1]) + (lane[2] + lane[3])) + singles;
 }
 
-__attribute__((target("avx2"))) int64_t
-dotI8(const int8_t *a, const int8_t *b, size_t n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256i va = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(a + i)));
-        const __m256i vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(b + i)));
-        // madd pairs: 8 lanes of int32, each |sum| <= 2*127*127.
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-    }
-    alignas(32) int32_t lane[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lane), acc);
-    int64_t total = 0;
-    for (int l = 0; l < 8; ++l)
-        total += lane[l];
-    for (; i < n; ++i)
-        total +=
-            static_cast<int64_t>(a[i]) * static_cast<int64_t>(b[i]);
-    return total;
-}
-
 } // namespace avx2
 
 #else // !SLEUTH_AVX2_BODIES
@@ -379,12 +346,6 @@ sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
                       const uint64_t *kb, const double *wb, size_t nb)
 {
     return scalar::sortedIntersectMinSum(ka, wa, na, kb, wb, nb);
-}
-
-int64_t
-dotI8(const int8_t *a, const int8_t *b, size_t n)
-{
-    return scalar::dotI8(a, b, n);
 }
 
 } // namespace avx2
@@ -451,12 +412,6 @@ sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
     return active() ? avx2::sortedIntersectMinSum(ka, wa, na, kb, wb, nb)
                     : scalar::sortedIntersectMinSum(ka, wa, na, kb, wb,
                                                     nb);
-}
-
-int64_t
-dotI8(const int8_t *a, const int8_t *b, size_t n)
-{
-    return active() ? avx2::dotI8(a, b, n) : scalar::dotI8(a, b, n);
 }
 
 } // namespace sleuth::simd

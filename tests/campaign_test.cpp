@@ -92,7 +92,7 @@ TEST(Scenario, ShrinkMasksApply)
 TEST(Invariants, RegistryIsComplete)
 {
     const std::vector<Invariant> &reg = invariantRegistry();
-    ASSERT_EQ(reg.size(), 15u);
+    ASSERT_EQ(reg.size(), 14u);
     for (const Invariant &inv : reg) {
         EXPECT_FALSE(inv.name.empty());
         EXPECT_FALSE(inv.description.empty());
@@ -101,10 +101,9 @@ TEST(Invariants, RegistryIsComplete)
         EXPECT_EQ(tryFindInvariant(inv.name), &inv);
     }
     EXPECT_EQ(tryFindInvariant("no-such-invariant"), nullptr);
-    EXPECT_EQ(knownMutations().size(), 3u);
+    EXPECT_EQ(knownMutations().size(), 2u);
     EXPECT_EQ(knownMutations()[0], "miscount-skipped");
-    EXPECT_EQ(knownMutations()[1], "overprune-root-cause");
-    EXPECT_EQ(knownMutations()[2], "skip-eviction-replay");
+    EXPECT_EQ(knownMutations()[1], "skip-eviction-replay");
 }
 
 TEST(Campaign, TierOnePinnedSeedIsGreen)

@@ -1,5 +1,6 @@
 // Durable replay engine (DESIGN.md §3.15): snapshot payload round
-// trips, poll-atomic tail discard, config-free epoch replay, and the
+// trips, poll-atomic tail discard, config-free epoch replay, format
+// version checks, bounded decoding of untrusted counts, and the
 // regression pinning replayed evictions bitwise to live evictions
 // while the vocabulary interner keeps growing past evicted records.
 
@@ -265,4 +266,108 @@ TEST(DurableReplay, SnapshotPayloadRoundTripExact)
     err.clear();
     EXPECT_FALSE(online::decodeSnapshotPayload(mutated, &out, &err));
     EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
+}
+
+/** Overwrite the leading u32 format version of a durable payload. */
+std::string
+stampVersion(std::string payload, uint32_t version)
+{
+    util::BinaryWriter w;
+    w.u32(version);
+    payload.replace(0, 4, w.buffer());
+    return payload;
+}
+
+TEST(DurableReplay, OlderFormatVersionIsRefusedNamingBothVersions)
+{
+    // The PipelineResult codec inside incident records changed in
+    // format version 2, so version-1 epochs and snapshots must be
+    // refused with an error that says why, not "corrupt record".
+    const std::string expected_epoch =
+        "unsupported epoch format version 1 (this build reads version 2)";
+    std::string old_epoch = stampVersion(
+        online::encodeEpochPayload(online::DetectorConfig{}), 1);
+    online::DetectorConfig cfg;
+    std::string err;
+    EXPECT_FALSE(online::decodeEpochPayload(old_epoch, &cfg, &err));
+    EXPECT_EQ(err, expected_epoch);
+
+    LiveRun live = buildLiveRun(3);
+    std::vector<durable::WalFrame> frames = live.frames;
+    frames.insert(frames.begin(),
+                  {durable::RecordKind::Epoch, old_epoch, 0});
+    online::RecoveryInfo info;
+    online::replayRecoveredLog(asLog(frames), std::nullopt, {}, &info);
+    EXPECT_FALSE(info.ok);
+    EXPECT_EQ(info.error, expected_epoch);
+
+    online::DurableServingState state = online::replayRecoveredLog(
+        asLog(live.frames), online::DetectorConfig{}, {}, &info);
+    ASSERT_TRUE(info.ok) << info.error;
+    std::string old_snapshot =
+        stampVersion(online::encodeSnapshotPayload(state), 1);
+    online::DurableServingState out;
+    err.clear();
+    EXPECT_FALSE(online::decodeSnapshotPayload(old_snapshot, &out, &err));
+    EXPECT_EQ(err, "unsupported snapshot format version 1 (this build "
+                   "reads version 2)");
+
+    durable::RecoveredLog log;
+    log.hasSnapshot = true;
+    log.snapshotPayload = old_snapshot;
+    online::replayRecoveredLog(log, std::nullopt, {}, &info);
+    EXPECT_FALSE(info.ok);
+    EXPECT_EQ(info.error, "snapshot decode failed: " + err);
+}
+
+TEST(IncidentCodec, MinimumEncodedSizeMatchesDecodeBound)
+{
+    // kMinEncodedIncidentBytes bounds snapshot incident counts; it
+    // must be exactly what an incident with every list empty encodes
+    // to, or valid snapshots would be refused.
+    util::BinaryWriter w;
+    online::encodeIncident(w, online::Incident{});
+    EXPECT_EQ(w.size(), online::kMinEncodedIncidentBytes);
+}
+
+TEST(IncidentCodec, HugeTraceCountIsRefusedWithoutAllocating)
+{
+    // Regression: a 65-byte incident payload whose anomalousTraces
+    // count reads 0xFFFFFFFF used to resize() to four billion traces
+    // before noticing the payload was short, aborting the process
+    // with std::bad_alloc. The count is now checked against the bytes
+    // that remain.
+    online::Incident incident;
+    incident.id = 7;
+    incident.endpoints = {"api/"};
+    util::BinaryWriter w;
+    online::encodeIncident(w, incident);
+    // id, state, opened/resolved, one 4-byte endpoint, window bounds
+    // and snapshot id precede the anomalous-trace count at offset 61.
+    std::string payload = w.buffer().substr(0, 65);
+    ASSERT_EQ(payload.substr(61), std::string(4, '\0'));
+    payload.replace(61, 4, std::string(4, '\xff'));
+    ASSERT_EQ(payload.size(), 65u);
+
+    util::BinaryReader r(payload);
+    online::Incident out;
+    EXPECT_FALSE(online::decodeIncident(r, &out));
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(out.anomalousTraces.capacity(), 0u);
+}
+
+TEST(BinaryReader, CountIsBoundedByRemainingBytes)
+{
+    util::BinaryWriter w;
+    w.u32(3);
+    for (int i = 0; i < 3; ++i)
+        w.u64(static_cast<uint64_t>(i));
+    util::BinaryReader fits(w.buffer());
+    EXPECT_EQ(fits.count(8), 3u);
+    EXPECT_TRUE(fits.ok());
+    util::BinaryReader too_many(w.buffer());
+    EXPECT_EQ(too_many.count(9), 0u);
+    EXPECT_FALSE(too_many.ok());
+    // The error is sticky: later reads return zero values.
+    EXPECT_EQ(too_many.u64(), 0u);
 }

@@ -64,11 +64,11 @@ TEST(Aggregation, EmptyStormRanksNothing)
     EXPECT_TRUE(core::aggregateRootCauses(empty).empty());
 }
 
-TEST(Aggregation, AllPrunedVerdictsRankNothing)
+TEST(Aggregation, AllEmptyVerdictsRankNothing)
 {
-    // The over-aggressive-prune edge: every candidate set was emptied,
-    // so every per-trace verdict is empty. The aggregation must return
-    // an empty ranking, not a crash or a phantom service.
+    // Every per-trace verdict is empty (no trace had a positively
+    // scored candidate). The aggregation must return an empty
+    // ranking, not a crash or a phantom service.
     core::PipelineResult res;
     res.perTrace.resize(5);
     res.clusterLabels.assign(5, -1);

@@ -122,13 +122,11 @@ TEST(PipelineCache, WarmRepollIsBitwiseEqualAndHitsBatchFastPath)
 
     PipelineResult fresh = pipeline.analyze(traces, slos);
     PipelineCache cache;
-    PipelineResult cold =
-        pipeline.analyze(traces, slos, nullptr, &cache);
+    PipelineResult cold = pipeline.analyze(traces, slos, &cache);
     expectSameResult(fresh, cold);
     EXPECT_EQ(cache.stats().batchHits, 0u);
 
-    PipelineResult warm =
-        pipeline.analyze(traces, slos, nullptr, &cache);
+    PipelineResult warm = pipeline.analyze(traces, slos, &cache);
     expectSameResult(fresh, warm);
     EXPECT_EQ(cache.stats().batchHits, 1u);
     // The logical invocation count is cache-oblivious by design.
@@ -144,7 +142,7 @@ TEST(PipelineCache, SlidWindowReusesEncodingsAndVerdicts)
                             clusteredConfig());
 
     PipelineCache cache;
-    pipeline.analyze(traces, slos, nullptr, &cache);
+    pipeline.analyze(traces, slos, &cache);
     PipelineCache::Stats before = cache.stats();
 
     // Drop the oldest trace and add a new one: the slid window.
@@ -154,8 +152,7 @@ TEST(PipelineCache, SlidWindowReusesEncodingsAndVerdicts)
     std::vector<int64_t> slid_slos(slid.size(), 900);
 
     PipelineResult fresh = pipeline.analyze(slid, slid_slos);
-    PipelineResult warm =
-        pipeline.analyze(slid, slid_slos, nullptr, &cache);
+    PipelineResult warm = pipeline.analyze(slid, slid_slos, &cache);
     expectSameResult(fresh, warm);
     PipelineCache::Stats after = cache.stats();
     // The surviving traces were not re-encoded or re-judged.
@@ -173,7 +170,7 @@ TEST(PipelineCache, NewSpanInvalidatesAndFallsBackToFullRecompute)
                             clusteredConfig());
 
     PipelineCache cache;
-    pipeline.analyze(traces, slos, nullptr, &cache);
+    pipeline.analyze(traces, slos, &cache);
     ASSERT_EQ(cache.stats().invalidations, 0u);
 
     // A late span arrives for trace 0 between polls: same traceId,
@@ -182,8 +179,7 @@ TEST(PipelineCache, NewSpanInvalidatesAndFallsBackToFullRecompute)
     mutated[0].spans.push_back(makeSpan("x", "s", "backend", "Retry",
                                         200, 260));
     PipelineResult fresh = pipeline.analyze(mutated, slos);
-    PipelineResult warm =
-        pipeline.analyze(mutated, slos, nullptr, &cache);
+    PipelineResult warm = pipeline.analyze(mutated, slos, &cache);
     expectSameResult(fresh, warm);
     EXPECT_GT(cache.stats().invalidations, 0u);
 }
@@ -197,7 +193,7 @@ TEST(PipelineCache, ChangedErrorFlagInvalidates)
                             clusteredConfig());
 
     PipelineCache cache;
-    pipeline.analyze(traces, slos, nullptr, &cache);
+    pipeline.analyze(traces, slos, &cache);
     uint64_t fp_before = PipelineCache::fingerprint(traces[0]);
 
     // Only the status flips — span count and timings are unchanged, so
@@ -207,8 +203,7 @@ TEST(PipelineCache, ChangedErrorFlagInvalidates)
     EXPECT_NE(PipelineCache::fingerprint(mutated[0]), fp_before);
 
     PipelineResult fresh = pipeline.analyze(mutated, slos);
-    PipelineResult warm =
-        pipeline.analyze(mutated, slos, nullptr, &cache);
+    PipelineResult warm = pipeline.analyze(mutated, slos, &cache);
     expectSameResult(fresh, warm);
     EXPECT_GT(cache.stats().invalidations, 0u);
 }
@@ -225,21 +220,21 @@ TEST(PipelineCache, AgingEvictsUntouchedEntries)
 
     std::vector<trace::Trace> first = storm("backend", 4, 15);
     std::vector<int64_t> slos(first.size(), 900);
-    pipeline.analyze(first, slos, nullptr, &cache);
+    pipeline.analyze(first, slos, &cache);
     EXPECT_EQ(cache.size(), first.size());
 
     // Three disjoint batches later the first window has aged out.
     for (uint64_t seed = 16; seed < 19; ++seed) {
         std::vector<trace::Trace> other = storm("cache", 4, seed);
         std::vector<int64_t> oslos(other.size(), 900);
-        pipeline.analyze(other, oslos, nullptr, &cache);
+        pipeline.analyze(other, oslos, &cache);
     }
     EXPECT_GT(cache.stats().evictions, 0u);
     EXPECT_LT(cache.size(), first.size() + 12);
 
     // The evicted window re-analyzes from scratch, bitwise equal.
     PipelineResult fresh = pipeline.analyze(first, slos);
-    PipelineResult warm = pipeline.analyze(first, slos, nullptr, &cache);
+    PipelineResult warm = pipeline.analyze(first, slos, &cache);
     expectSameResult(fresh, warm);
 }
 
@@ -256,11 +251,11 @@ TEST(PipelineCache, MaxTracesCapEvictsDeterministically)
     std::vector<trace::Trace> big = storm("backend", 10, 20);
     std::vector<int64_t> slos(big.size(), 900);
     PipelineResult fresh = pipeline.analyze(big, slos);
-    pipeline.analyze(big, slos, nullptr, &cache);
+    pipeline.analyze(big, slos, &cache);
     // Same-batch entries share a generation, so the cap only bites on
     // the next beginBatch; the capped cache must still answer the
     // repeat bitwise-identically (batch fast path or recompute).
-    PipelineResult warm = pipeline.analyze(big, slos, nullptr, &cache);
+    PipelineResult warm = pipeline.analyze(big, slos, &cache);
     expectSameResult(fresh, warm);
     EXPECT_LE(cache.size(), std::max<size_t>(cc.maxTraces, big.size()));
     EXPECT_GT(cache.stats().evictions, 0u);
@@ -281,12 +276,11 @@ TEST(PipelineCache, GrowingWindowReusesMatrixPrefixBitwiseEqual)
     std::vector<trace::Trace> small(traces.begin(), traces.begin() + 6);
     std::vector<int64_t> small_slos(small.size(), 900);
     PipelineCache cache;
-    pipeline.analyze(small, small_slos, nullptr, &cache);
+    pipeline.analyze(small, small_slos, &cache);
     ASSERT_EQ(cache.stats().matrixPrefixHits, 0u);
 
     PipelineResult fresh = pipeline.analyze(traces, slos);
-    PipelineResult warm =
-        pipeline.analyze(traces, slos, nullptr, &cache);
+    PipelineResult warm = pipeline.analyze(traces, slos, &cache);
     expectSameResult(fresh, warm);
     EXPECT_GT(cache.stats().matrixPrefixHits, 0u);
 }
@@ -302,7 +296,7 @@ TEST(PipelineCache, MutatedLeadingTraceBreaksMatrixPrefix)
     std::vector<trace::Trace> small(traces.begin(), traces.begin() + 6);
     std::vector<int64_t> small_slos(small.size(), 900);
     PipelineCache cache;
-    pipeline.analyze(small, small_slos, nullptr, &cache);
+    pipeline.analyze(small, small_slos, &cache);
 
     // The window grows AND its first trace mutated between polls: the
     // re-encoded trace gets a fresh encoding id, so the stored matrix
@@ -311,8 +305,7 @@ TEST(PipelineCache, MutatedLeadingTraceBreaksMatrixPrefix)
     grown[0].spans.push_back(makeSpan("x", "s", "backend", "Retry",
                                       200, 260));
     PipelineResult fresh = pipeline.analyze(grown, slos);
-    PipelineResult warm =
-        pipeline.analyze(grown, slos, nullptr, &cache);
+    PipelineResult warm = pipeline.analyze(grown, slos, &cache);
     expectSameResult(fresh, warm);
     EXPECT_EQ(cache.stats().matrixPrefixHits, 0u);
     EXPECT_GT(cache.stats().invalidations, 0u);
@@ -347,25 +340,4 @@ TEST(PipelineCache, MatrixPrefixLookupSemantics)
     PipelineCache bounded(cc);
     bounded.storeMatrix({4, 7, 9}, m);
     EXPECT_EQ(bounded.lookupMatrixPrefix({4, 7, 9}, &k), nullptr);
-}
-
-TEST(PipelineCache, CacheComposesWithConservativePruning)
-{
-    CacheFixture &f = fixture();
-    std::vector<trace::Trace> traces = storm("backend", 8, 22);
-    std::vector<int64_t> slos(traces.size(), 900);
-
-    PipelineConfig cfg = clusteredConfig();
-    cfg.prune.mode = PruneConfig::Mode::Conservative;
-    SleuthPipeline pruned(f.model, f.encoder, f.profile, cfg);
-    PipelineConfig plain_cfg = clusteredConfig();
-    SleuthPipeline plain(f.model, f.encoder, f.profile, plain_cfg);
-
-    PipelineResult fresh = plain.analyze(traces, slos);
-    PipelineCache cache;
-    PipelineResult cold = pruned.analyze(traces, slos, nullptr, &cache);
-    PipelineResult warm = pruned.analyze(traces, slos, nullptr, &cache);
-    expectSameResult(fresh, cold);
-    expectSameResult(fresh, warm);
-    EXPECT_GT(cache.stats().batchHits, 0u);
 }

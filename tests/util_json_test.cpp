@@ -172,3 +172,31 @@ TEST(Json, LargeIntegersSurvive)
     EXPECT_EQ(v.asInt(), 1688888888000000LL);
     EXPECT_EQ(v.dump(), "1688888888000000");
 }
+
+TEST(Json, NestingDepthIsBounded)
+{
+    // Exactly kMaxParseDepth levels parse; one more is a recoverable
+    // error naming the offset, not a stack overflow.
+    const int limit = Json::kMaxParseDepth;
+    std::string at_limit = std::string(limit, '[') + std::string(limit, ']');
+    std::string err;
+    Json v = Json::parse(at_limit, &err);
+    EXPECT_TRUE(err.empty()) << err;
+    EXPECT_EQ(v.dump(), at_limit);
+
+    std::string over =
+        std::string(limit + 1, '[') + std::string(limit + 1, ']');
+    Json bad = Json::parse(over, &err);
+    EXPECT_TRUE(bad.isNull());
+    EXPECT_EQ(err, "nesting too deep at offset " + std::to_string(limit));
+
+    // Objects count toward the same limit, and a far deeper document
+    // (unterminated, as a hostile payload would be) fails the same way.
+    std::string objects;
+    for (int i = 0; i <= limit; ++i)
+        objects += "{\"k\":";
+    Json::parse(objects, &err);
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+    Json::parse(std::string(2'000'000, '['), &err);
+    EXPECT_EQ(err, "nesting too deep at offset " + std::to_string(limit));
+}

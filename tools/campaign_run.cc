@@ -28,112 +28,7 @@ usage()
         "  --shrink-runs N  per-failure shrink budget (default 140)\n"
         "  --repro-dir DIR  write shrunk repros as DIR/repro-*.json\n"
         "  --bench-out FILE write BENCH-format JSON summary\n"
-        "  --prune-ablation N  instead of invariants, sweep N scenarios\n"
-        "                   comparing full vs aggressive-pruned accuracy\n"
-        "  --aggressiveness A  prune aggressiveness for the ablation\n"
-        "                   (default 0.5)\n"
         "  --list           list registered invariants and exit\n");
-}
-
-/** Fraction of storm traces whose verdict hits the ground truth. */
-double
-hitRate(const core::PipelineResult &res,
-        const std::vector<std::set<std::string>> &truth)
-{
-    if (truth.empty())
-        return 1.0;
-    size_t hits = 0;
-    for (size_t i = 0; i < truth.size(); ++i) {
-        for (const std::string &svc : res.perTrace[i].services) {
-            if (truth[i].count(svc)) {
-                ++hits;
-                break;
-            }
-        }
-    }
-    return static_cast<double>(hits) /
-           static_cast<double>(truth.size());
-}
-
-/**
- * Prune-ablation sweep (the EXPERIMENTS.md accuracy row): for each
- * drawn scenario, run the pipeline full and aggressive-pruned over the
- * same storm and aggregate top-k hit rates plus the measured prune
- * ratios. Exits 0 — the row is a measurement, not an invariant; the
- * pruned-vs-full campaign invariant separately guards the
- * conservative mode's exactness.
- */
-int
-runPruneAblation(size_t scenarios, uint64_t seed,
-                 double aggressiveness, const std::string &bench_out)
-{
-    util::Rng rng(seed);
-    double full_sum = 0.0, pruned_sum = 0.0;
-    double keep_traces_sum = 0.0, keep_services_sum = 0.0;
-    size_t measured = 0, degenerate = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < scenarios; ++i) {
-        campaign::Scenario s = campaign::drawScenario(rng);
-        std::unique_ptr<campaign::ScenarioRun> run =
-            campaign::buildScenario(s);
-        if (run->degenerate) {
-            ++degenerate;
-            continue;
-        }
-        core::PipelineConfig cfg = s.pipelineConfig();
-        core::PipelineResult full = run->analyze(cfg);
-        core::PipelineConfig pruned_cfg = cfg;
-        pruned_cfg.prune.mode = core::PruneConfig::Mode::Aggressive;
-        pruned_cfg.prune.aggressiveness = aggressiveness;
-        core::PipelineResult pruned = run->analyze(pruned_cfg);
-        full_sum += hitRate(full, run->truthServices);
-        pruned_sum += hitRate(pruned, run->truthServices);
-        keep_traces_sum += pruned.pruneTraceKeepRatio;
-        keep_services_sum += pruned.pruneServiceKeepRatio;
-        ++measured;
-    }
-    double elapsed =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (measured == 0) {
-        std::printf("prune-ablation: all %zu scenarios degenerate\n",
-                    scenarios);
-        return 0;
-    }
-    double n = static_cast<double>(measured);
-    std::printf(
-        "prune-ablation: %zu scenarios (%zu degenerate), "
-        "aggressiveness %.2f, %.1fs\n"
-        "  full hit rate    %.4f\n"
-        "  pruned hit rate  %.4f (delta %+.4f)\n"
-        "  trace keep ratio %.4f, service keep ratio %.4f\n",
-        measured, degenerate, aggressiveness, elapsed, full_sum / n,
-        pruned_sum / n, (pruned_sum - full_sum) / n,
-        keep_traces_sum / n, keep_services_sum / n);
-    if (!bench_out.empty()) {
-        util::Json rows = util::Json::array();
-        auto row = [&rows](const char *metric, double value,
-                           const char *unit) {
-            util::Json r = util::Json::object();
-            r.set("metric", metric);
-            r.set("value", value);
-            r.set("unit", unit);
-            rows.push(std::move(r));
-        };
-        row("prune_ablation_full_hit_rate", full_sum / n, "ratio");
-        row("prune_ablation_pruned_hit_rate", pruned_sum / n, "ratio");
-        row("prune_ablation_trace_keep_ratio", keep_traces_sum / n,
-            "ratio");
-        row("prune_ablation_service_keep_ratio", keep_services_sum / n,
-            "ratio");
-        row("prune_ablation_scenarios", n, "count");
-        std::ofstream out(bench_out);
-        if (!out)
-            util::fatal("cannot write ", bench_out);
-        out << rows.dump(2) << "\n";
-    }
-    return 0;
 }
 
 } // namespace
@@ -144,8 +39,6 @@ main(int argc, char **argv)
     campaign::CampaignParams params;
     std::string repro_dir;
     std::string bench_out;
-    size_t ablation_scenarios = 0;
-    double ablation_aggressiveness = 0.5;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> std::string {
@@ -169,11 +62,6 @@ main(int argc, char **argv)
             repro_dir = next();
         else if (arg == "--bench-out")
             bench_out = next();
-        else if (arg == "--prune-ablation")
-            ablation_scenarios =
-                static_cast<size_t>(std::stoul(next()));
-        else if (arg == "--aggressiveness")
-            ablation_aggressiveness = std::stod(next());
         else if (arg == "--list") {
             for (const campaign::Invariant &inv :
                  campaign::invariantRegistry())
@@ -188,9 +76,6 @@ main(int argc, char **argv)
             util::fatal("unknown argument '", arg, "'");
         }
     }
-    if (ablation_scenarios > 0)
-        return runPruneAblation(ablation_scenarios, params.seed,
-                                ablation_aggressiveness, bench_out);
     if (!params.mutation.empty()) {
         const auto &known = campaign::knownMutations();
         if (std::find(known.begin(), known.end(), params.mutation) ==

@@ -70,6 +70,16 @@ if(NOT out MATCHES "no recoverable state")
     message(FATAL_ERROR "empty-store infer error absent: ${out}")
 endif()
 
+# --- JSON input: nesting far past the parser's depth limit is a clean
+# parse error, not a stack overflow. ---
+
+string(REPEAT "[" 100000 deep)
+file(WRITE ${WORK_DIR}/deep.json "${deep}")
+run_expect(1 out ${SLEUTH_BIN} ingest --traces ${WORK_DIR}/deep.json)
+if(NOT out MATCHES "nesting too deep at offset 256")
+    message(FATAL_ERROR "deep-nesting error absent: ${out}")
+endif()
+
 # --- Config parsing: a malformed enum is a recoverable per-field
 # error naming the offending path, not an opaque abort. ---
 

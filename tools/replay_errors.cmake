@@ -29,7 +29,7 @@ run_expect(1 out ${WORK_DIR}/bad-invariant.json)
 if(NOT out MATCHES "unknown invariant 'no-such-check'")
     message(FATAL_ERROR "missing unknown-invariant error: ${out}")
 endif()
-if(NOT out MATCHES "determinism-threads" OR NOT out MATCHES "pruned-vs-full"
+if(NOT out MATCHES "determinism-threads" OR NOT out MATCHES "crash-recovery"
    OR NOT out MATCHES "incremental-repoll")
     message(FATAL_ERROR "error did not list the known invariants: ${out}")
 endif()
@@ -41,7 +41,7 @@ run_expect(1 out ${WORK_DIR}/bad-mutation.json)
 if(NOT out MATCHES "unknown mutation 'no-such-mutation'")
     message(FATAL_ERROR "missing unknown-mutation error: ${out}")
 endif()
-if(NOT out MATCHES "miscount-skipped" OR NOT out MATCHES "overprune-root-cause")
+if(NOT out MATCHES "miscount-skipped" OR NOT out MATCHES "skip-eviction-replay")
     message(FATAL_ERROR "error did not list the known mutations: ${out}")
 endif()
 

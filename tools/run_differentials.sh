@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
-# Build and run the differential suites: every bitwise-equivalence /
-# guaranteed-superset contract in the tree, grouped under the ctest
-# label `differential` —
+# Build and run the differential suites: every bitwise-equivalence
+# contract in the tree, grouped under the ctest label `differential` —
 #   - simd_test            scalar <-> AVX2 kernel equivalence
 #   - online_service_test  online <-> batch, 1/2/8-thread determinism
 #   - online_incremental_test  cached <-> uncached incident re-analysis
-#   - pruner_test          conservative pruned ≡ full pipeline
 #   - pipeline_cache_test  warm ≡ cold re-poll, invalidation fallback
-#   - campaign_corpus      pinned repro cases (incl. pruned-vs-full and
-#                          incremental-repoll invariants)
+#   - campaign_corpus      pinned repro cases (incl. the
+#                          incremental-repoll invariant)
 #
 # The label runs twice: once in a -DSLEUTH_SIMD=ON build and once with
 # the AVX2 bodies compiled out (-DSLEUTH_SIMD=OFF), so each contract
