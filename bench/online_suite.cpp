@@ -310,7 +310,9 @@ main(int argc, char **argv)
     // and with the cross-poll PipelineCache (fresh cache per rep — the
     // cold first poll is part of the cached cost), asserting the
     // verdicts are bitwise identical poll-for-poll (the
-    // incremental-repoll campaign invariant, measured). ---
+    // incremental-repoll campaign invariant, measured). The cache
+    // saves only encoding and RCA; the distance matrix and clustering
+    // are recomputed on every poll either way. ---
     {
         sim::Simulator storm_sim(app, cluster, {.seed = 0x7a11});
         int num_flows =
@@ -336,9 +338,10 @@ main(int argc, char **argv)
         // copying the snapshot out of the store. The poll sequence
         // models an open incident under reanalyzeOpenIncidents: the
         // service re-analyzes on every poll, but late traces only
-        // arrive on some of them, so each window is polled three times
-        // (one growth poll, two with the snapshot persisting
-        // unchanged — the batch fast path).
+        // arrive on some of them, so each window is polled three times:
+        // one growth poll that encodes only the new traces, then two
+        // with the snapshot unchanged that re-encode and re-judge
+        // nothing.
         const std::vector<size_t> windows = {80, 96, 112, 128, 144,
                                              160};
         std::vector<std::vector<trace::Trace>> snaps;

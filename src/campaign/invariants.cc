@@ -1669,8 +1669,8 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
     // The cross-poll incremental cache (DESIGN.md §3.14): every cached
     // value is the output of a pure function of fingerprinted inputs,
     // so a warm analysis must be bitwise identical to a full
-    // recompute — over the identical batch (the unchanged-snapshot
-    // fast path), over a slid window sharing most traces, and after a
+    // recompute — over the identical batch (served from memory), over
+    // a growing and a slid window sharing most traces, and after a
     // content mutation that must invalidate and fall back.
     core::PipelineConfig cfg = run.scenario.pipelineConfig();
     core::SleuthPipeline pipeline(run.adapter->model(),
@@ -1686,20 +1686,35 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
         return fail("cold-cache run diverges from the cache-free "
                     "run: " + diff);
 
+    core::PipelineCache::Stats cold_stats = cache.stats();
     core::PipelineResult warm =
         pipeline.analyze(run.traces, run.slos, &cache);
     diff = diffResults(fresh, warm);
     if (!diff.empty())
         return fail("warm-cache re-poll diverges from the full "
                     "recompute: " + diff);
-    if (cache.stats().batchHits == 0)
-        return fail("identical re-poll missed the unchanged-snapshot "
-                    "fast path");
+    // The identical re-poll is served from memory: no well-formed
+    // trace is re-encoded and the model never runs. Malformed traces
+    // are never stored, so each misses once on the lookup its path
+    // makes (the encoding when clustered, the verdict otherwise).
+    core::PipelineCache::Stats warm_stats = cache.stats();
+    const size_t malformed = fresh.skippedTraces;
+    size_t reencoded = warm_stats.encodingMisses -
+                       cold_stats.encodingMisses;
+    size_t rejudged = warm_stats.verdictMisses - cold_stats.verdictMisses;
+    if (reencoded != (cfg.clustering ? malformed : 0))
+        return fail("identical re-poll re-encoded " +
+                    std::to_string(reencoded) + " traces (" +
+                    std::to_string(malformed) + " malformed)");
+    if (rejudged != (cfg.clustering ? 0 : malformed))
+        return fail("identical re-poll missed " +
+                    std::to_string(rejudged) + " cached verdicts (" +
+                    std::to_string(malformed) + " malformed)");
 
     // Growing window: an open incident gains late traces between
-    // polls, so the stored distance matrix must be reused as a packed
-    // prefix (DESIGN.md §3.14) and the verdicts must still equal a
-    // cache-free run of the grown batch.
+    // polls, so every well-formed head trace must come back from the
+    // encoding cache and the verdicts must still equal a cache-free
+    // run of the grown batch.
     if (run.traces.size() >= 4) {
         core::PipelineCache grow_cache;
         const size_t half = run.traces.size() / 2;
@@ -1709,22 +1724,22 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
         std::vector<int64_t> head_slos(run.slos.begin(),
                                        run.slos.begin() +
                                            static_cast<long>(half));
-        pipeline.analyze(head, head_slos, &grow_cache);
+        core::PipelineResult head_res =
+            pipeline.analyze(head, head_slos, &grow_cache);
+        size_t hits_before = grow_cache.stats().encodingHits;
         core::PipelineResult inc =
             pipeline.analyze(run.traces, run.slos, &grow_cache);
         diff = diffResults(fresh, inc);
         if (!diff.empty())
             return fail("growing-window re-poll diverges from the "
                         "full recompute: " + diff);
-        // With clustering on and every trace well-formed, the grown
-        // poll must actually take the matrix-prefix fast path (half >=
-        // 2 guarantees the head stored a matrix).
-        bool prefix_expected =
-            cfg.clustering && half >= 2 && fresh.skippedTraces == 0;
-        if (prefix_expected &&
-            grow_cache.stats().matrixPrefixHits == 0)
-            return fail("growing-window re-poll missed the "
-                        "matrix-prefix fast path");
+        size_t head_hits = grow_cache.stats().encodingHits - hits_before;
+        size_t head_well_formed = half - head_res.skippedTraces;
+        if (cfg.clustering && head_hits < head_well_formed)
+            return fail("growing-window re-poll hit " +
+                        std::to_string(head_hits) + " of " +
+                        std::to_string(head_well_formed) +
+                        " cached head encodings");
     }
 
     // Slid window: a later poll typically sees the same storm minus

@@ -61,76 +61,6 @@ errorVerdict(const std::string &why)
     return r;
 }
 
-uint64_t
-hashCombine(uint64_t h, uint64_t v)
-{
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return h;
-}
-
-/**
- * Weighted-Jaccard matrix over encoded span sets, assembled through the
- * incremental cache when one is present. Three tiers, fastest first:
- * the previous poll's whole matrix reused as a packed prefix (growing
- * incident windows), then the per-pair cache, then — for mostly-cold
- * batches (under 25% pair hits) — the grouped SIMD kernel. Every tier
- * shares jaccardDistance as the per-pair bitwise reference (pinned by
- * simd_test), so all assembly paths produce identical doubles.
- */
-distance::DistanceMatrix
-cachedDistanceMatrix(const std::vector<distance::WeightedSpanSet> &sets,
-                     const std::vector<uint32_t> &encIds,
-                     PipelineCache *cache, util::ThreadPool &pool)
-{
-    if (cache == nullptr)
-        return distance::DistanceMatrix::fromSpanSets(sets, &pool);
-    const size_t m = sets.size();
-    const size_t total = m < 2 ? 0 : m * (m - 1) / 2;
-    distance::DistanceMatrix out(m);
-    // On a re-poll of an open incident the previous batch's traces
-    // come back first and new ones append, so the stored triangle is a
-    // byte prefix of this one: copy it wholesale and compute only the
-    // appended rows (each owns a disjoint packed slice, so the
-    // parallel fill is race-free and thread-count independent).
-    size_t prefix = 0;
-    if (const distance::DistanceMatrix *prev =
-            cache->lookupMatrixPrefix(encIds, &prefix)) {
-        out.assignPrefix(*prev);
-        pool.parallelFor(m - prefix, [&](size_t k, size_t) {
-            size_t i = prefix + k;
-            for (size_t j = 0; j < i; ++j)
-                out.set(i, j,
-                        distance::jaccardDistance(sets[i], sets[j]));
-        });
-        cache->storeMatrix(encIds, out);
-        return out;
-    }
-    std::vector<std::pair<size_t, size_t>> missing;
-    for (size_t i = 1; i < m; ++i)
-        for (size_t j = 0; j < i; ++j) {
-            double d;
-            if (cache->lookupDistance(encIds[i], encIds[j], &d))
-                out.set(i, j, d);
-            else
-                missing.push_back({i, j});
-        }
-    if (missing.size() * 4 > total * 3) {
-        out = distance::DistanceMatrix::fromSpanSets(sets, &pool);
-        for (auto [i, j] : missing)
-            cache->storeDistance(encIds[i], encIds[j], out.at(i, j));
-        cache->storeMatrix(encIds, out);
-        return out;
-    }
-    pool.parallelFor(missing.size(), [&](size_t k, size_t) {
-        auto [i, j] = missing[k];
-        out.set(i, j, distance::jaccardDistance(sets[i], sets[j]));
-    });
-    for (auto [i, j] : missing)
-        cache->storeDistance(encIds[i], encIds[j], out.at(i, j));
-    cache->storeMatrix(encIds, out);
-    return out;
-}
-
 } // namespace
 
 /**
@@ -201,136 +131,107 @@ SleuthPipeline::analyze(const std::vector<trace::Trace> &traces,
         ptrs[i] = &traces[i];
     Engine engine(*this);
 
-    // Content fingerprints drive every cache key; the whole-batch fast
-    // path makes an unchanged snapshot cost one hash pass + one lookup.
+    // Content fingerprints drive every cache key.
     std::vector<uint64_t> fps;
-    uint64_t batchKey = 0;
     if (cache != nullptr) {
         fps.resize(n);
         engine.pool.parallelFor(n, [&](size_t i, size_t) {
             fps[i] = PipelineCache::fingerprint(traces[i]);
         });
         cache->beginBatch();
-        batchKey = hashCombine(0x5ba7c45eull, n);
-        for (size_t i = 0; i < n; ++i) {
-            batchKey = hashCombine(batchKey, fps[i]);
-            batchKey =
-                hashCombine(batchKey, static_cast<uint64_t>(slos[i]));
-        }
-        if (const PipelineResult *hit = cache->lookupBatch(batchKey))
-            return *hit;
     }
 
-    PipelineResult out = [&]() -> PipelineResult {
-        if (!config_.clustering)
-            return analyzeIndividualImpl(ptrs, slos, cache, fps, engine);
+    if (!config_.clustering)
+        return analyzeIndividualImpl(ptrs, slos, cache, fps, engine);
 
-        // Weighted-Jaccard over encoded span sets, pre-encoded once per
-        // trace, then memoized into one packed matrix per batch (paper
-        // Eq. 1). Encoding validates each trace; malformed ones are
-        // compacted out so they neither crash the batch nor distort
-        // clustering. A cached encoding implies the trace was
-        // well-formed last time it was seen, so hits skip validation
-        // too.
-        std::vector<std::string> errors(n);
-        std::vector<distance::WeightedSpanSet> sets(n);
-        std::vector<uint32_t> encIds(cache != nullptr ? n : 0);
-        std::vector<char> needEncode(n, 1);
-        if (cache != nullptr) {
-            for (size_t i = 0; i < n; ++i) {
-                const distance::WeightedSpanSet *hit =
-                    cache->lookupEncoding(traces[i].traceId, fps[i],
-                                          &encIds[i]);
-                if (hit != nullptr) {
-                    sets[i] = *hit;
-                    needEncode[i] = 0;
-                }
+    // Weighted-Jaccard over encoded span sets, pre-encoded once per
+    // trace, then memoized into one packed matrix per batch (paper
+    // Eq. 1). Encoding validates each trace; malformed ones are
+    // compacted out so they neither crash the batch nor distort
+    // clustering. A cached encoding implies the trace was well-formed
+    // last time it was seen, so hits skip validation too.
+    std::vector<std::string> errors(n);
+    std::vector<distance::WeightedSpanSet> sets(n);
+    std::vector<char> needEncode(n, 1);
+    if (cache != nullptr) {
+        for (size_t i = 0; i < n; ++i) {
+            if (const distance::WeightedSpanSet *hit =
+                    cache->lookupEncoding(traces[i].traceId, fps[i])) {
+                sets[i] = *hit;
+                needEncode[i] = 0;
             }
         }
-        {
-            obs::ScopedTimer timer(stageHistogram(Stage::Encode));
-            engine.pool.parallelFor(n, [&](size_t i, size_t) {
-                if (!needEncode[i])
-                    return;
-                trace::TraceGraph g;
-                std::string err;
-                if (!trace::TraceGraph::tryBuild(traces[i], &g, &err)) {
-                    errors[i] = err;
-                    return;
-                }
-                sets[i] = distance::encodeSpanSet(traces[i], g,
-                                                  config_.distanceOpts);
-            });
-        }
-        if (cache != nullptr)
-            for (size_t i = 0; i < n; ++i)
-                if (needEncode[i] && errors[i].empty())
-                    cache->storeEncoding(traces[i].traceId, fps[i],
-                                         sets[i], &encIds[i]);
-
-        std::vector<size_t> valid;
-        valid.reserve(n);
-        for (size_t i = 0; i < n; ++i)
-            if (errors[i].empty())
-                valid.push_back(i);
-
-        if (valid.size() == n) {
-            distance::DistanceMatrix dist = [&] {
-                obs::ScopedTimer timer(stageHistogram(Stage::Distance));
-                return cachedDistanceMatrix(sets, encIds, cache,
-                                            engine.pool);
-            }();
-            return analyzeCore(ptrs, slos, dist, errors, engine, cache,
-                               fps);
-        }
-
-        // Compact the well-formed subset, analyze it, scatter back.
-        std::vector<const trace::Trace *> sub_ptrs;
-        std::vector<int64_t> sub_slos;
-        std::vector<distance::WeightedSpanSet> sub_sets;
-        std::vector<uint64_t> sub_fps;
-        std::vector<uint32_t> sub_enc;
-        sub_ptrs.reserve(valid.size());
-        sub_slos.reserve(valid.size());
-        sub_sets.reserve(valid.size());
-        for (size_t i : valid) {
-            sub_ptrs.push_back(ptrs[i]);
-            sub_slos.push_back(slos[i]);
-            sub_sets.push_back(std::move(sets[i]));
-            if (cache != nullptr) {
-                sub_fps.push_back(fps[i]);
-                sub_enc.push_back(encIds[i]);
+    }
+    {
+        obs::ScopedTimer timer(stageHistogram(Stage::Encode));
+        engine.pool.parallelFor(n, [&](size_t i, size_t) {
+            if (!needEncode[i])
+                return;
+            trace::TraceGraph g;
+            std::string err;
+            if (!trace::TraceGraph::tryBuild(traces[i], &g, &err)) {
+                errors[i] = err;
+                return;
             }
-        }
-        distance::DistanceMatrix sub_dist = [&] {
-            obs::ScopedTimer timer(stageHistogram(Stage::Distance));
-            return cachedDistanceMatrix(sub_sets, sub_enc, cache,
-                                        engine.pool);
-        }();
-        PipelineResult sub = analyzeCore(
-            sub_ptrs, sub_slos, sub_dist,
-            std::vector<std::string>(valid.size()), engine, cache,
-            sub_fps);
-
-        PipelineResult scattered;
-        scattered.perTrace.resize(n);
-        scattered.clusterLabels.assign(n, -1);
-        scattered.numClusters = sub.numClusters;
-        scattered.rcaInvocations = sub.rcaInvocations;
-        scattered.distanceEvaluations = sub.distanceEvaluations;
-        scattered.skippedTraces = n - valid.size();
-        for (size_t k = 0; k < valid.size(); ++k) {
-            scattered.perTrace[valid[k]] = std::move(sub.perTrace[k]);
-            scattered.clusterLabels[valid[k]] = sub.clusterLabels[k];
-        }
-        for (size_t i = 0; i < n; ++i)
-            if (!errors[i].empty())
-                scattered.perTrace[i] = errorVerdict(errors[i]);
-        return scattered;
-    }();
+            sets[i] = distance::encodeSpanSet(traces[i], g,
+                                              config_.distanceOpts);
+        });
+    }
     if (cache != nullptr)
-        cache->storeBatch(batchKey, out);
-    return out;
+        for (size_t i = 0; i < n; ++i)
+            if (needEncode[i] && errors[i].empty())
+                cache->storeEncoding(traces[i].traceId, fps[i], sets[i]);
+
+    std::vector<size_t> valid;
+    valid.reserve(n);
+    for (size_t i = 0; i < n; ++i)
+        if (errors[i].empty())
+            valid.push_back(i);
+
+    auto distanceMatrix =
+        [&](const std::vector<distance::WeightedSpanSet> &s) {
+            obs::ScopedTimer timer(stageHistogram(Stage::Distance));
+            return distance::DistanceMatrix::fromSpanSets(s,
+                                                          &engine.pool);
+        };
+    if (valid.size() == n)
+        return analyzeCore(ptrs, slos, distanceMatrix(sets), errors,
+                           engine, cache, fps);
+
+    // Compact the well-formed subset, analyze it, scatter back.
+    std::vector<const trace::Trace *> sub_ptrs;
+    std::vector<int64_t> sub_slos;
+    std::vector<distance::WeightedSpanSet> sub_sets;
+    std::vector<uint64_t> sub_fps;
+    sub_ptrs.reserve(valid.size());
+    sub_slos.reserve(valid.size());
+    sub_sets.reserve(valid.size());
+    for (size_t i : valid) {
+        sub_ptrs.push_back(ptrs[i]);
+        sub_slos.push_back(slos[i]);
+        sub_sets.push_back(std::move(sets[i]));
+        if (cache != nullptr)
+            sub_fps.push_back(fps[i]);
+    }
+    PipelineResult sub = analyzeCore(
+        sub_ptrs, sub_slos, distanceMatrix(sub_sets),
+        std::vector<std::string>(valid.size()), engine, cache, sub_fps);
+
+    PipelineResult scattered;
+    scattered.perTrace.resize(n);
+    scattered.clusterLabels.assign(n, -1);
+    scattered.numClusters = sub.numClusters;
+    scattered.rcaInvocations = sub.rcaInvocations;
+    scattered.distanceEvaluations = sub.distanceEvaluations;
+    scattered.skippedTraces = n - valid.size();
+    for (size_t k = 0; k < valid.size(); ++k) {
+        scattered.perTrace[valid[k]] = std::move(sub.perTrace[k]);
+        scattered.clusterLabels[valid[k]] = sub.clusterLabels[k];
+    }
+    for (size_t i = 0; i < n; ++i)
+        if (!errors[i].empty())
+            scattered.perTrace[i] = errorVerdict(errors[i]);
+    return scattered;
 }
 
 PipelineResult

@@ -10,8 +10,8 @@
  * cuts ML inference by orders of magnitude during incident storms.
  *
  * An optional cross-poll incremental cache (PipelineCache, DESIGN.md
- * §3.14) memoizes per-trace encodings, per-pair distances, and
- * per-trace verdicts between analyses of overlapping snapshots.
+ * §3.14) memoizes per-trace encodings and verdicts between analyses
+ * of overlapping snapshots.
  */
 
 #include <cstddef>
@@ -117,9 +117,9 @@ class SleuthPipeline
 
     /**
      * Analyze a batch of anomalous traces: encode, distance matrix,
-     * cluster, RCA. When cache is non-null, encodings, distances, and
-     * verdicts memoized from previous polls are reused and fresh ones
-     * inserted (the cache must always be paired with the same pipeline
+     * cluster, RCA. When cache is non-null, encodings and verdicts
+     * memoized from previous polls are reused and fresh ones inserted
+     * (the cache must always be paired with the same pipeline
      * configuration). Results are bitwise identical to the cache-free
      * run of the same batch.
      *

@@ -83,22 +83,6 @@ class DistanceMatrix
     /** Packed storage (row i > j holds i(i-1)/2 + j), for bulk reads. */
     const std::vector<double> &packed() const { return d_; }
 
-    /**
-     * Bulk-copy a smaller matrix into the head of this one. The packed
-     * lower-triangular layout makes a k-item matrix a literal prefix
-     * of any larger matrix over the same leading items, so an
-     * incremental consumer (the cross-poll pipeline cache) can reuse
-     * every previously computed pair with one copy and only compute
-     * the appended rows.
-     */
-    void
-    assignPrefix(const DistanceMatrix &src)
-    {
-        SLEUTH_ASSERT(src.n_ <= n_,
-                      "prefix source larger than destination");
-        std::copy(src.d_.begin(), src.d_.end(), d_.begin());
-    }
-
   private:
     static size_t
     pack(size_t i, size_t j)

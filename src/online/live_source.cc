@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sleuth::online {
 
@@ -141,25 +141,21 @@ runLiveLoad(const synth::AppConfig &app, const sim::ClusterModel &cluster,
     auto wall0 = std::chrono::steady_clock::now();
     int64_t next_poll = config.pollIntervalUs;
     size_t cursor = 0;
-    size_t threads = std::max<size_t>(1, config.ingestThreads);
+    // One producer per stride, kept for the whole run: producer t
+    // delivers every threads-th span of each batch. A one-thread pool
+    // runs the loop inline.
+    const size_t threads = std::max<size_t>(1, config.ingestThreads);
+    util::ThreadPool producers(threads);
     while (cursor < deliveries.size()) {
         size_t batch_end = cursor;
         while (batch_end < deliveries.size() &&
                deliveries[batch_end].atUs < next_poll)
             ++batch_end;
         if (batch_end > cursor) {
-            if (threads == 1) {
-                ingestRange(service, deliveries, cursor, batch_end, 1);
-            } else {
-                std::vector<std::thread> workers;
-                workers.reserve(threads);
-                for (size_t t = 0; t < threads; ++t)
-                    workers.emplace_back(ingestRange, service,
-                                         std::ref(deliveries),
-                                         cursor + t, batch_end, threads);
-                for (std::thread &w : workers)
-                    w.join();
-            }
+            producers.parallelFor(threads, [&](size_t t, size_t) {
+                ingestRange(service, deliveries, cursor + t, batch_end,
+                            threads);
+            });
             cursor = batch_end;
         }
         service->poll(next_poll);

@@ -412,8 +412,8 @@ OnlineService::evaluate(int64_t watermark_us)
 
     // A persisting storm keeps depositing traces into the detection
     // window; optionally refresh the open incident's verdict over the
-    // slid window. The incremental cache makes each refresh cost only
-    // the delta since the previous snapshot.
+    // slid window. The incremental cache re-encodes and re-judges only
+    // the traces that are new or changed since the previous snapshot.
     if (config_.reanalyzeOpenIncidents && open != nullptr &&
         open->state == Incident::State::Analyzed &&
         !detector_.stormingEndpoints().empty() &&
@@ -783,14 +783,10 @@ OnlineService::statsJson() const
         core::PipelineCache::Stats cs = cache_.stats();
         util::Json cache = util::Json::object();
         cache.set("entries", cache_.size());
-        cache.set("pairs", cache_.pairCount());
         cache.set("encodingHits", cs.encodingHits);
         cache.set("encodingMisses", cs.encodingMisses);
-        cache.set("distanceHits", cs.distanceHits);
-        cache.set("distanceMisses", cs.distanceMisses);
         cache.set("verdictHits", cs.verdictHits);
         cache.set("verdictMisses", cs.verdictMisses);
-        cache.set("batchHits", cs.batchHits);
         cache.set("invalidations", cs.invalidations);
         cache.set("evictions", cs.evictions);
         doc.set("incrementalCache", std::move(cache));

@@ -129,12 +129,13 @@ struct OnlineConfig
     /** Normal traces sampled into an incident snapshot (context). */
     size_t normalSampleSize = 16;
     /**
-     * Memoize span-set encodings, distance-matrix pairs, and RCA
-     * verdicts across incident analyses (DESIGN.md §3.14). Incident
-     * snapshots of a persisting storm overlap heavily between polls;
-     * the cache recomputes only the delta while keeping every verdict
-     * bitwise identical to a full recompute (the incremental-repoll
-     * campaign invariant pins this), so it is safe to leave on.
+     * Memoize per-trace span-set encodings and RCA verdicts across
+     * incident analyses (DESIGN.md §3.14). Incident snapshots of a
+     * persisting storm overlap heavily between polls; the cache
+     * re-encodes and re-judges only the delta while keeping every
+     * verdict bitwise identical to a full recompute (the
+     * incremental-repoll campaign invariant pins this), so it is safe
+     * to leave on.
      */
     bool incrementalCache = true;
     /** Sizing/retention of the incremental pipeline cache. */

@@ -112,7 +112,7 @@ expectSameResult(const PipelineResult &a, const PipelineResult &b)
 
 } // namespace
 
-TEST(PipelineCache, WarmRepollIsBitwiseEqualAndHitsBatchFastPath)
+TEST(PipelineCache, WarmRepollIsBitwiseEqualAndServedFromMemory)
 {
     CacheFixture &f = fixture();
     std::vector<trace::Trace> traces = storm("backend", 8, 11);
@@ -124,11 +124,17 @@ TEST(PipelineCache, WarmRepollIsBitwiseEqualAndHitsBatchFastPath)
     PipelineCache cache;
     PipelineResult cold = pipeline.analyze(traces, slos, &cache);
     expectSameResult(fresh, cold);
-    EXPECT_EQ(cache.stats().batchHits, 0u);
+    PipelineCache::Stats before = cache.stats();
+    EXPECT_EQ(before.encodingHits, 0u);
 
     PipelineResult warm = pipeline.analyze(traces, slos, &cache);
     expectSameResult(fresh, warm);
-    EXPECT_EQ(cache.stats().batchHits, 1u);
+    // No trace is re-encoded and the model never runs.
+    PipelineCache::Stats after = cache.stats();
+    EXPECT_EQ(after.encodingHits - before.encodingHits, traces.size());
+    EXPECT_EQ(after.encodingMisses, before.encodingMisses);
+    EXPECT_GT(after.verdictHits, before.verdictHits);
+    EXPECT_EQ(after.verdictMisses, before.verdictMisses);
     // The logical invocation count is cache-oblivious by design.
     EXPECT_EQ(warm.rcaInvocations, fresh.rcaInvocations);
 }
@@ -158,7 +164,6 @@ TEST(PipelineCache, SlidWindowReusesEncodingsAndVerdicts)
     // The surviving traces were not re-encoded or re-judged.
     EXPECT_GT(after.encodingHits + after.verdictHits,
               before.encodingHits + before.verdictHits);
-    EXPECT_EQ(after.batchHits, before.batchHits);
 }
 
 TEST(PipelineCache, NewSpanInvalidatesAndFallsBackToFullRecompute)
@@ -254,14 +259,15 @@ TEST(PipelineCache, MaxTracesCapEvictsDeterministically)
     pipeline.analyze(big, slos, &cache);
     // Same-batch entries share a generation, so the cap only bites on
     // the next beginBatch; the capped cache must still answer the
-    // repeat bitwise-identically (batch fast path or recompute).
+    // repeat bitwise-identically (partly from memory, partly
+    // recomputed).
     PipelineResult warm = pipeline.analyze(big, slos, &cache);
     expectSameResult(fresh, warm);
     EXPECT_LE(cache.size(), std::max<size_t>(cc.maxTraces, big.size()));
     EXPECT_GT(cache.stats().evictions, 0u);
 }
 
-TEST(PipelineCache, GrowingWindowReusesMatrixPrefixBitwiseEqual)
+TEST(PipelineCache, GrowingWindowReusesHeadEncodingsBitwiseEqual)
 {
     CacheFixture &f = fixture();
     std::vector<trace::Trace> traces = storm("backend", 10, 23);
@@ -270,22 +276,22 @@ TEST(PipelineCache, GrowingWindowReusesMatrixPrefixBitwiseEqual)
                             clusteredConfig());
 
     // First poll sees a 6-trace window; the re-poll appends four late
-    // traces. The stored packed triangle must be reused as a prefix
-    // and the assembled matrix must still drive the exact verdicts a
+    // traces. Every head trace must come back from the encoding cache
+    // and the recomputed matrix must still drive the exact verdicts a
     // cold analysis produces.
     std::vector<trace::Trace> small(traces.begin(), traces.begin() + 6);
     std::vector<int64_t> small_slos(small.size(), 900);
     PipelineCache cache;
     pipeline.analyze(small, small_slos, &cache);
-    ASSERT_EQ(cache.stats().matrixPrefixHits, 0u);
+    size_t hits_before = cache.stats().encodingHits;
 
     PipelineResult fresh = pipeline.analyze(traces, slos);
     PipelineResult warm = pipeline.analyze(traces, slos, &cache);
     expectSameResult(fresh, warm);
-    EXPECT_GT(cache.stats().matrixPrefixHits, 0u);
+    EXPECT_EQ(cache.stats().encodingHits - hits_before, small.size());
 }
 
-TEST(PipelineCache, MutatedLeadingTraceBreaksMatrixPrefix)
+TEST(PipelineCache, GrowingWindowWithMutatedLeadingTraceInvalidates)
 {
     CacheFixture &f = fixture();
     std::vector<trace::Trace> traces = storm("backend", 8, 24);
@@ -297,47 +303,73 @@ TEST(PipelineCache, MutatedLeadingTraceBreaksMatrixPrefix)
     std::vector<int64_t> small_slos(small.size(), 900);
     PipelineCache cache;
     pipeline.analyze(small, small_slos, &cache);
+    size_t hits_before = cache.stats().encodingHits;
 
     // The window grows AND its first trace mutated between polls: the
-    // re-encoded trace gets a fresh encoding id, so the stored matrix
-    // must not be reused (stale pair distances would leak).
+    // mutated trace must be re-encoded (its stale encoding and
+    // verdicts would leak otherwise); the other head traces are reused.
     std::vector<trace::Trace> grown = traces;
     grown[0].spans.push_back(makeSpan("x", "s", "backend", "Retry",
                                       200, 260));
     PipelineResult fresh = pipeline.analyze(grown, slos);
     PipelineResult warm = pipeline.analyze(grown, slos, &cache);
     expectSameResult(fresh, warm);
-    EXPECT_EQ(cache.stats().matrixPrefixHits, 0u);
     EXPECT_GT(cache.stats().invalidations, 0u);
+    EXPECT_EQ(cache.stats().encodingHits - hits_before, small.size() - 1);
 }
 
-TEST(PipelineCache, MatrixPrefixLookupSemantics)
+TEST(PipelineCache, OrphanParentTraceKeepsItsErrorVerdictAndIsNeverCached)
 {
-    PipelineCache cache;
-    distance::DistanceMatrix m(3);
-    m.set(1, 0, 0.25);
-    m.set(2, 0, 0.5);
-    m.set(2, 1, 0.75);
-    cache.storeMatrix({4, 7, 9}, m);
+    CacheFixture &f = fixture();
+    std::vector<trace::Trace> traces = storm("backend", 8, 25);
+    std::vector<int64_t> slos(traces.size(), 900);
+    // One trace's leaf span names a parent that never arrived: the
+    // graph builder rejects it and the batch takes the compaction path.
+    const size_t orphan = 3;
+    traces[orphan].spans.back().parentSpanId = "never-arrived";
 
-    // Exact sequence and proper extension both hit with the stored
-    // item count; reordered, truncated, or diverging sequences miss.
-    size_t k = 0;
-    const distance::DistanceMatrix *hit =
-        cache.lookupMatrixPrefix({4, 7, 9, 12}, &k);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(k, 3u);
-    EXPECT_EQ(hit->at(2, 1), 0.75);
-    ASSERT_NE(cache.lookupMatrixPrefix({4, 7, 9}, &k), nullptr);
-    EXPECT_EQ(k, 3u);
-    EXPECT_EQ(cache.lookupMatrixPrefix({4, 7}, &k), nullptr);
-    EXPECT_EQ(cache.lookupMatrixPrefix({4, 9, 7, 12}, &k), nullptr);
-    EXPECT_EQ(cache.lookupMatrixPrefix({7, 9, 4}, &k), nullptr);
+    PipelineConfig individual = clusteredConfig();
+    individual.clustering = false;
+    for (const PipelineConfig &cfg : {clusteredConfig(), individual}) {
+        SCOPED_TRACE(cfg.clustering ? "clustered" : "individual");
+        SleuthPipeline pipeline(f.model, f.encoder, f.profile, cfg);
+        PipelineResult fresh = pipeline.analyze(traces, slos);
+        ASSERT_EQ(fresh.skippedTraces, 1u);
+        ASSERT_FALSE(fresh.perTrace[orphan].error.empty());
+        EXPECT_EQ(fresh.clusterLabels[orphan], -1);
 
-    // Batches above the retention cap are not pinned in memory.
-    PipelineCache::Config cc;
-    cc.maxMatrixTraces = 2;
-    PipelineCache bounded(cc);
-    bounded.storeMatrix({4, 7, 9}, m);
-    EXPECT_EQ(bounded.lookupMatrixPrefix({4, 7, 9}, &k), nullptr);
+        PipelineCache cache;
+        PipelineResult cold = pipeline.analyze(traces, slos, &cache);
+        expectSameResult(fresh, cold);
+        EXPECT_EQ(cache.size(), traces.size() - 1);
+
+        PipelineResult warm = pipeline.analyze(traces, slos, &cache);
+        expectSameResult(fresh, warm);
+        EXPECT_EQ(cache.size(), traces.size() - 1);
+        EXPECT_EQ(cache.stats().invalidations, 0u);
+    }
+}
+
+TEST(PipelineCache, SharedTraceIdWithOtherContentNeverServesStaleEntry)
+{
+    CacheFixture &f = fixture();
+    std::vector<trace::Trace> traces = storm("backend", 8, 26);
+    // Two traces in one batch share an id but not their content (nor
+    // their span-set encoding): a lookup may miss but must never
+    // return the other trace's encoding or verdict.
+    util::Rng rng(27);
+    traces[5] = CacheFixture::makeTrace(rng, "cache", true);
+    traces[5].traceId = traces[2].traceId;
+    std::vector<int64_t> slos(traces.size(), 900);
+
+    PipelineConfig individual = clusteredConfig();
+    individual.clustering = false;
+    for (const PipelineConfig &cfg : {clusteredConfig(), individual}) {
+        SCOPED_TRACE(cfg.clustering ? "clustered" : "individual");
+        SleuthPipeline pipeline(f.model, f.encoder, f.profile, cfg);
+        PipelineResult fresh = pipeline.analyze(traces, slos);
+        PipelineCache cache;
+        for (int poll = 0; poll < 3; ++poll)
+            expectSameResult(fresh, pipeline.analyze(traces, slos, &cache));
+    }
 }

@@ -1,8 +1,9 @@
-# Exercises the CLI failure paths hardened by the durable-data-dir and
-# config-parse audits: missing/empty/invalid directories and malformed
-# configs must exit nonzero with a message naming the problem — no
-# abort, no silent success, no side effects (a missing --dir must not
-# be created as an empty data directory).
+# Exercises the CLI failure paths hardened by the durable-data-dir,
+# config-parse and numeric-flag audits: missing/empty/invalid
+# directories, malformed configs and out-of-range numeric flags must
+# exit nonzero with a message naming the problem — no abort, no silent
+# success, no side effects (a missing --dir must not be created as an
+# empty data directory).
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
@@ -92,6 +93,44 @@ run_expect(1 out ${SLEUTH_BIN} simulate --config ${WORK_DIR}/bad-tier.json
            --count 5 --out ${WORK_DIR}/t.json)
 if(NOT out MATCHES "tier: unknown tier 'edge'")
     message(FATAL_ERROR "bad-tier error did not name the field: ${out}")
+endif()
+
+# --- Numeric flags: the whole value must parse and fall inside the
+# flag's range. Each case used to abort on an uncaught std::stoll /
+# std::stod exception, wrap a negative through a size_t cast, or accept
+# a trailing-garbage prefix; each must now exit 1 naming the flag. ---
+
+run_expect(0 out ${SLEUTH_BIN} simulate --config ${WORK_DIR}/app/config.json
+           --count 20 --out ${WORK_DIR}/t.json)
+run_expect(0 out ${SLEUTH_BIN} train --traces ${WORK_DIR}/t.json
+           --out ${WORK_DIR}/model.json --epochs 1)
+
+function(expect_flag_error flag)
+    run_expect(1 out ${ARGN})
+    if(NOT out MATCHES "fatal: ${flag} wants ")
+        message(FATAL_ERROR "${ARGN}: no range error naming ${flag}: ${out}")
+    endif()
+endfunction()
+
+set(sim ${SLEUTH_BIN} simulate --config ${WORK_DIR}/app/config.json
+    --out ${WORK_DIR}/x.json)
+expect_flag_error(--count ${sim} --count -1)
+expect_flag_error(--count ${sim} --count 99999999999999999999)
+expect_flag_error(--chaos ${sim} --chaos abc)
+expect_flag_error(--rpcs ${SLEUTH_BIN} generate --rpcs abc --out ${WORK_DIR}/g)
+expect_flag_error(--rpcs ${SLEUTH_BIN} generate --rpcs 0 --out ${WORK_DIR}/g)
+expect_flag_error(--threads ${SLEUTH_BIN} analyze --model ${WORK_DIR}/model.json
+                  --traces ${WORK_DIR}/t.json --threads -1)
+expect_flag_error(--slo ${SLEUTH_BIN} ingest --traces ${WORK_DIR}/t.json --slo 5x)
+expect_flag_error(--epochs ${SLEUTH_BIN} train --traces ${WORK_DIR}/t.json
+                  --out ${WORK_DIR}/m2.json --epochs -3)
+expect_flag_error(--rpcs ${SERVICED_BIN} --rpcs abc)
+expect_flag_error(--requests ${SERVICED_BIN} --requests -5)
+
+# More faults than the generated cluster has containers.
+run_expect(1 out ${SERVICED_BIN} --faults 999)
+if(NOT out MATCHES "--faults 999 exceeds the")
+    message(FATAL_ERROR "serviced --faults error absent: ${out}")
 endif()
 
 # --- sleuth_serviced --data-dir: an uncreatable path fails up front,

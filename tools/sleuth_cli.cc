@@ -66,6 +66,8 @@
 #include "trace/trace_json.h"
 #include "util/logging.h"
 
+#include "cli_flags.h"
+
 using namespace sleuth;
 
 namespace {
@@ -105,19 +107,26 @@ class Args
         return it == values_.end() ? fallback : it->second;
     }
 
+    /** --key as an integer in [lo, hi] (fatal otherwise). */
     int64_t
-    getInt(const std::string &key, int64_t fallback) const
+    getInt(const std::string &key, int64_t fallback, int64_t lo,
+           int64_t hi) const
     {
         auto it = values_.find(key);
-        return it == values_.end() ? fallback
-                                   : std::stoll(it->second);
+        return it == values_.end()
+                   ? fallback
+                   : cli::parse("--" + key, it->second, lo, hi);
     }
 
+    /** --key as a number in [lo, hi] (fatal otherwise). */
     double
-    getDouble(const std::string &key, double fallback) const
+    getDouble(const std::string &key, double fallback, double lo,
+              double hi) const
     {
         auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stod(it->second);
+        return it == values_.end()
+                   ? fallback
+                   : cli::parse("--" + key, it->second, lo, hi);
     }
 
     bool has(const std::string &key) const
@@ -234,8 +243,8 @@ int
 cmdGenerate(const Args &args)
 {
     synth::GeneratorParams params = synth::syntheticParams(
-        static_cast<int>(args.getInt("rpcs", 64)),
-        static_cast<uint64_t>(args.getInt("seed", 1)));
+        static_cast<int>(args.getInt("rpcs", 64, 2, cli::kMaxRpcs)),
+        static_cast<uint64_t>(args.getInt("seed", 1, 0, cli::kMaxInt)));
     params.name = args.getOptional("name", params.name);
     synth::AppConfig app = synth::generateApp(params);
     std::string out = args.getOptional("out", "./" + params.name);
@@ -250,22 +259,24 @@ cmdGenerate(const Args &args)
 int
 cmdSimulate(const Args &args)
 {
+    uint64_t seed =
+        static_cast<uint64_t>(args.getInt("seed", 1, 0, cli::kMaxInt));
+    int nodes = static_cast<int>(args.getInt("nodes", 100, 1, cli::kMaxNodes));
+    size_t count =
+        static_cast<size_t>(args.getInt("count", 1000, 1, cli::kMaxTraces));
+    double expected_faults = args.getDouble("chaos", 2.0, 0.0, 1e6);
     synth::AppConfig app = loadAppConfig(args.get("config"));
-    uint64_t seed = static_cast<uint64_t>(args.getInt("seed", 1));
-    int nodes = static_cast<int>(args.getInt("nodes", 100));
-    size_t count = static_cast<size_t>(args.getInt("count", 1000));
 
     sim::ClusterModel cluster(app, nodes, seed);
     sim::Simulator::calibrateSlos(app, cluster, 300, 99.0, seed);
 
     chaos::FaultPlan plan;
     if (args.has("chaos")) {
-        double expected = args.getDouble("chaos", 2.0);
         util::Rng rng(seed ^ 0xc4a05u);
         chaos::ChaosParams cp;
         cp.containerProb = std::min(
-            1.0, expected / static_cast<double>(
-                                cluster.allInstances().size()));
+            1.0, expected_faults / static_cast<double>(
+                                       cluster.allInstances().size()));
         plan = chaos::planFaults(cluster.allInstances(), cp, rng);
         std::printf("chaos plan: %zu faults\n", plan.faults.size());
         for (const chaos::FaultSpec &f : plan.faults)
@@ -298,19 +309,20 @@ cmdSimulate(const Args &args)
 int
 cmdTrain(const Args &args)
 {
+    core::GnnConfig gc;
+    gc.embedDim = static_cast<size_t>(args.getInt("embed", 8, 1, 1024));
+    gc.hidden = static_cast<size_t>(args.getInt("hidden", 16, 1, 4096));
+    core::TrainConfig tc;
+    tc.epochs = static_cast<int>(args.getInt("epochs", 10, 1, 100'000));
+
     std::vector<TraceRecord> records =
         loadRecords(args.get("traces"));
     std::vector<trace::Trace> corpus;
     for (TraceRecord &r : records)
         corpus.push_back(std::move(r.trace));
 
-    core::GnnConfig gc;
-    gc.embedDim = static_cast<size_t>(args.getInt("embed", 8));
-    gc.hidden = static_cast<size_t>(args.getInt("hidden", 16));
     core::SleuthGnn model(gc);
     core::FeatureEncoder encoder(gc.embedDim);
-    core::TrainConfig tc;
-    tc.epochs = static_cast<int>(args.getInt("epochs", 10));
     core::Trainer trainer(model, encoder, tc);
     double loss = trainer.train(corpus);
     writeFile(args.get("out"), model.save().dump());
@@ -324,6 +336,8 @@ cmdTrain(const Args &args)
 int
 cmdAnalyze(const Args &args)
 {
+    size_t threads =
+        static_cast<size_t>(args.getInt("threads", 1, 0, cli::kMaxThreads));
     core::SleuthGnn model =
         core::SleuthGnn::fromJson(parseFile(args.get("model")));
     core::FeatureEncoder encoder(model.config().embedDim);
@@ -357,8 +371,7 @@ cmdAnalyze(const Args &args)
     }
     core::PipelineConfig cfg;
     cfg.clustering = false;
-    cfg.numThreads =
-        static_cast<size_t>(args.getInt("threads", 1));
+    cfg.numThreads = threads;
     core::SleuthPipeline pipeline(model, encoder, profile, cfg);
     core::PipelineResult res = pipeline.analyze(anomalous, slos);
     for (size_t i = 0; i < anomalous.size(); ++i) {
@@ -397,6 +410,7 @@ cmdIngest(const Args &args)
         proto = collector::Protocol::Jaeger;
     else
         util::fatal("unknown protocol '", proto_name, "'");
+    int64_t slo = args.getInt("slo", 0, 0, cli::kMaxInt);
 
     storage::TraceStore store;
     collector::TraceCollector coll(&store);
@@ -415,8 +429,7 @@ cmdIngest(const Args &args)
                         j.has("slo") ? j.at("slo").asInt() : 0);
         }
     } else {
-        coll.ingest(readFile(args.get("traces")), proto,
-                    args.getInt("slo", 0));
+        coll.ingest(readFile(args.get("traces")), proto, slo);
     }
 
     const collector::CollectorStats &s = coll.stats();
@@ -445,6 +458,8 @@ cmdMetrics(const Args &args)
 {
     // Exercise the instrumented paths in this process, then dump the
     // registry: ingestion always, batch analysis when a model is given.
+    size_t threads =
+        static_cast<size_t>(args.getInt("threads", 1, 0, cli::kMaxThreads));
     storage::TraceStore store;
     collector::TraceCollector coll(&store);
     std::vector<TraceRecord> records =
@@ -480,8 +495,7 @@ cmdMetrics(const Args &args)
             slos.push_back(r.sloUs);
         }
         core::PipelineConfig cfg;
-        cfg.numThreads =
-            static_cast<size_t>(args.getInt("threads", 1));
+        cfg.numThreads = threads;
         core::SleuthPipeline pipeline(model, encoder, profile, cfg);
         pipeline.analyze(anomalous, slos);
     }
@@ -502,8 +516,8 @@ cmdInfer(const Args &args)
 {
     synth::InferOptions opts;
     opts.name = args.getOptional("name", "inferred");
-    opts.maxTraces =
-        static_cast<size_t>(args.getInt("max-traces", 0));
+    opts.maxTraces = static_cast<size_t>(
+        args.getInt("max-traces", 0, 0, cli::kMaxInt));
 
     synth::InferStats stats;
     synth::AppConfig app;

@@ -66,25 +66,31 @@
 #include "util/json.h"
 #include "util/logging.h"
 
+#include "cli_flags.h"
+
 using namespace sleuth;
 
 namespace {
 
+/** key's value as an integer in [lo, hi] (fatal otherwise). */
 int64_t
-intArg(int argc, char **argv, const std::string &key, int64_t fallback)
+intArg(int argc, char **argv, const std::string &key, int64_t fallback,
+       int64_t lo, int64_t hi)
 {
     for (int i = 1; i + 1 < argc; ++i)
         if (key == argv[i])
-            return std::stoll(argv[i + 1]);
+            return cli::parse(key, argv[i + 1], lo, hi);
     return fallback;
 }
 
+/** key's value as a number in [lo, hi] (fatal otherwise). */
 double
-doubleArg(int argc, char **argv, const std::string &key, double fallback)
+doubleArg(int argc, char **argv, const std::string &key, double fallback,
+          double lo, double hi)
 {
     for (int i = 1; i + 1 < argc; ++i)
         if (key == argv[i])
-            return std::stod(argv[i + 1]);
+            return cli::parse(key, argv[i + 1], lo, hi);
     return fallback;
 }
 
@@ -103,25 +109,28 @@ strArg(int argc, char **argv, const std::string &key,
 int
 main(int argc, char **argv)
 {
-    uint64_t seed =
-        static_cast<uint64_t>(intArg(argc, argv, "--seed", 7));
-    int rpcs = static_cast<int>(intArg(argc, argv, "--rpcs", 24));
-    int nodes = static_cast<int>(intArg(argc, argv, "--nodes", 12));
-    size_t requests =
-        static_cast<size_t>(intArg(argc, argv, "--requests", 3000));
-    double rate = doubleArg(argc, argv, "--rate", 400.0);
-    size_t threads =
-        static_cast<size_t>(intArg(argc, argv, "--threads", 2));
-    int64_t poll_ms = intArg(argc, argv, "--poll-ms", 250);
+    uint64_t seed = static_cast<uint64_t>(
+        intArg(argc, argv, "--seed", 7, 0, cli::kMaxInt));
+    int rpcs =
+        static_cast<int>(intArg(argc, argv, "--rpcs", 24, 2, cli::kMaxRpcs));
+    int nodes =
+        static_cast<int>(intArg(argc, argv, "--nodes", 12, 1, cli::kMaxNodes));
+    size_t requests = static_cast<size_t>(
+        intArg(argc, argv, "--requests", 3000, 1, 1'000'000));
+    double rate = doubleArg(argc, argv, "--rate", 400.0, 1e-3, 1e7);
+    size_t threads = static_cast<size_t>(
+        intArg(argc, argv, "--threads", 2, 1, cli::kMaxThreads));
+    int64_t poll_ms =
+        intArg(argc, argv, "--poll-ms", 250, 1, 3'600'000);
     size_t faults =
-        static_cast<size_t>(intArg(argc, argv, "--faults", 2));
-    double duplicate = doubleArg(argc, argv, "--duplicate", 0.02);
-    size_t max_spans =
-        static_cast<size_t>(intArg(argc, argv, "--max-spans", 400'000));
+        static_cast<size_t>(intArg(argc, argv, "--faults", 2, 0, 1000));
+    double duplicate = doubleArg(argc, argv, "--duplicate", 0.02, 0.0, 1.0);
+    size_t max_spans = static_cast<size_t>(
+        intArg(argc, argv, "--max-spans", 400'000, 1, cli::kMaxInt));
     size_t ring_capacity = static_cast<size_t>(
-        intArg(argc, argv, "--ring-capacity", 1 << 16));
+        intArg(argc, argv, "--ring-capacity", 1 << 16, 1, 1 << 20));
     size_t shed_budget = static_cast<size_t>(
-        intArg(argc, argv, "--shed-budget", 0));
+        intArg(argc, argv, "--shed-budget", 0, 0, cli::kMaxInt));
     std::string shed_policy_name =
         strArg(argc, argv, "--shed-policy", "drop-newest");
     online::ShedPolicy shed_policy;
@@ -137,15 +146,15 @@ main(int argc, char **argv)
         util::fatal("unknown --fsync-policy '", fsync_policy_name,
                     "' (want always, group, or off)");
     uint64_t snapshot_every = static_cast<uint64_t>(
-        intArg(argc, argv, "--snapshot-every", 64));
+        intArg(argc, argv, "--snapshot-every", 64, 0, cli::kMaxInt));
     std::string out = strArg(argc, argv, "--out", "");
     std::string metrics_text =
         strArg(argc, argv, "--metrics-text", "");
     int64_t metrics_every =
-        std::max<int64_t>(1, intArg(argc, argv, "--metrics-every", 4));
+        intArg(argc, argv, "--metrics-every", 4, 1, cli::kMaxInt);
     std::string infer_out = strArg(argc, argv, "--infer-out", "");
     int64_t infer_every =
-        std::max<int64_t>(1, intArg(argc, argv, "--infer-every", 16));
+        intArg(argc, argv, "--infer-every", 16, 1, cli::kMaxInt);
 
     // Validate the data directory before the expensive warmup and
     // training phases: a typo'd or uncreatable --data-dir must fail
@@ -166,6 +175,10 @@ main(int argc, char **argv)
     synth::AppConfig app =
         synth::generateApp(synth::syntheticParams(rpcs, seed));
     sim::ClusterModel cluster(app, nodes, seed);
+    if (faults > cluster.allInstances().size())
+        util::fatal("--faults ", faults, " exceeds the ",
+                    cluster.allInstances().size(),
+                    " containers of the generated cluster");
     sim::Simulator::calibrateSlos(app, cluster, 300, 99.0, seed);
 
     // --- Train on a healthy warmup corpus. ---
