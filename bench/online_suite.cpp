@@ -94,7 +94,7 @@ struct Row
     double value = 0.0;
     std::string unit;
     /** Optional annotation (e.g. "skipped_single_core"). */
-    std::string note;
+    std::string note{};
 };
 
 double

@@ -96,7 +96,7 @@ struct Row
     double value;
     std::string unit;
     /** Optional annotation (e.g. "skipped_single_core"). */
-    std::string note;
+    std::string note{};
 };
 
 } // namespace

@@ -494,44 +494,45 @@ checkSkippedAccounting(const ScenarioRun &run, const CheckContext &ctx)
     // The well-formed prefix must be untouched: malformed traces are
     // compacted out before the distance matrix, so clustering and
     // verdicts match the clean batch exactly.
-    core::PipelineResult prefix;
-    prefix.perTrace.assign(res.perTrace.begin(),
-                           res.perTrace.begin() +
-                               static_cast<long>(n));
-    prefix.clusterLabels.assign(res.clusterLabels.begin(),
-                                res.clusterLabels.begin() +
-                                    static_cast<long>(n));
-    prefix.numClusters = res.numClusters;
-    prefix.rcaInvocations = res.rcaInvocations;
-    prefix.distanceEvaluations = res.distanceEvaluations;
-    prefix.skippedTraces = 0;
-    core::PipelineResult base_like = base;
-    base_like.skippedTraces = 0;
-    std::string diff = diffResults(base_like, prefix);
+    auto wellFormedPrefix = [n](core::PipelineResult r) {
+        r.perTrace.resize(n);
+        r.clusterLabels.resize(n);
+        r.skippedTraces = 0;
+        return r;
+    };
+    std::string diff =
+        diffResults(wellFormedPrefix(base), wellFormedPrefix(res));
     if (!diff.empty())
         return fail("well-formed traces were disturbed by malformed "
                     "batch mates: " + diff);
 
-    // Distance accounting must exclude malformed rows on the
-    // caller-provided-distance path too (the analyzeWithMatrix /
-    // analyzeWithDistance contract).
+    // The caller-provided-distance path compacts the same way: its
+    // prefix equals its run of the clean batch, and its distance
+    // accounting excludes the malformed rows.
     core::SleuthPipeline pipeline(run.adapter->model(),
                                   run.adapter->encoder(),
                                   run.adapter->profile(), cfg);
     std::function<double(size_t, size_t)> flat = [](size_t, size_t) {
         return 0.3;
     };
-    core::PipelineResult via_matrix =
+    core::PipelineResult via_oracle =
         pipeline.analyzeWithDistance(batch, batch_slos, flat);
+    diff = diffResults(
+        wellFormedPrefix(
+            pipeline.analyzeWithDistance(run.traces, run.slos, flat)),
+        wellFormedPrefix(via_oracle));
+    if (!diff.empty())
+        return fail("caller-distance path: well-formed traces were "
+                    "disturbed by malformed batch mates: " + diff);
     size_t expected_evals =
         cfg.clustering ? n * (n > 0 ? n - 1 : 0) / 2 : 0;
-    if (via_matrix.skippedTraces != k)
-        return fail("matrix path skippedTraces=" +
-                    std::to_string(via_matrix.skippedTraces) +
+    if (via_oracle.skippedTraces != k)
+        return fail("caller-distance path skippedTraces=" +
+                    std::to_string(via_oracle.skippedTraces) +
                     ", expected " + std::to_string(k));
-    if (via_matrix.distanceEvaluations != expected_evals)
-        return fail("matrix path distanceEvaluations=" +
-                    std::to_string(via_matrix.distanceEvaluations) +
+    if (via_oracle.distanceEvaluations != expected_evals)
+        return fail("caller-distance path distanceEvaluations=" +
+                    std::to_string(via_oracle.distanceEvaluations) +
                     ", expected " + std::to_string(expected_evals) +
                     " over the well-formed traces");
     return pass();
@@ -1695,8 +1696,8 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
                     "recompute: " + diff);
     // The identical re-poll is served from memory: no well-formed
     // trace is re-encoded and the model never runs. Malformed traces
-    // are never stored, so each misses once on the lookup its path
-    // makes (the encoding when clustered, the verdict otherwise).
+    // are never stored; when clustered, each misses its encoding
+    // lookup once, and it never reaches a verdict lookup.
     core::PipelineCache::Stats warm_stats = cache.stats();
     const size_t malformed = fresh.skippedTraces;
     size_t reencoded = warm_stats.encodingMisses -
@@ -1706,7 +1707,7 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
         return fail("identical re-poll re-encoded " +
                     std::to_string(reencoded) + " traces (" +
                     std::to_string(malformed) + " malformed)");
-    if (rejudged != (cfg.clustering ? 0 : malformed))
+    if (rejudged != 0)
         return fail("identical re-poll missed " +
                     std::to_string(rejudged) + " cached verdicts (" +
                     std::to_string(malformed) + " malformed)");

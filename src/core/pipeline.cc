@@ -39,28 +39,6 @@ stageHistogram(Stage stage)
     util::panic("invalid pipeline stage");
 }
 
-/** Batch entry accounting shared by the analyze* entry points. */
-void
-countBatch(size_t traces)
-{
-    static obs::Counter &batches = obs::counter(
-        "sleuth_pipeline_batches_total", "Analysis batches started");
-    static obs::Counter &traceCount = obs::counter(
-        "sleuth_pipeline_traces_total",
-        "Traces submitted for analysis");
-    batches.add();
-    traceCount.add(traces);
-}
-
-/** The verdict recorded for a trace the graph builder rejected. */
-RcaResult
-errorVerdict(const std::string &why)
-{
-    RcaResult r;
-    r.error = "malformed trace: " + why;
-    return r;
-}
-
 } // namespace
 
 /**
@@ -122,13 +100,33 @@ SleuthPipeline::analyze(const std::vector<trace::Trace> &traces,
                         const std::vector<int64_t> &slos,
                         PipelineCache *cache) const
 {
+    return analyzeBatch(traces, slos, cache, nullptr);
+}
+
+PipelineResult
+SleuthPipeline::analyzeWithDistance(
+    const std::vector<trace::Trace> &traces,
+    const std::vector<int64_t> &slos,
+    const std::function<double(size_t, size_t)> &dist) const
+{
+    return analyzeBatch(traces, slos, nullptr, &dist);
+}
+
+PipelineResult
+SleuthPipeline::analyzeBatch(
+    const std::vector<trace::Trace> &traces,
+    const std::vector<int64_t> &slos, PipelineCache *cache,
+    const std::function<double(size_t, size_t)> *oracle) const
+{
     SLEUTH_ASSERT(traces.size() == slos.size(),
                   "trace/slo count mismatch");
-    countBatch(traces.size());
     const size_t n = traces.size();
-    std::vector<const trace::Trace *> ptrs(n);
-    for (size_t i = 0; i < n; ++i)
-        ptrs[i] = &traces[i];
+    static obs::Counter &batches = obs::counter(
+        "sleuth_pipeline_batches_total", "Analysis batches started");
+    static obs::Counter &submitted = obs::counter(
+        "sleuth_pipeline_traces_total", "Traces submitted for analysis");
+    batches.add();
+    submitted.add(n);
     Engine engine(*this);
 
     // Content fingerprints drive every cache key.
@@ -141,268 +139,128 @@ SleuthPipeline::analyze(const std::vector<trace::Trace> &traces,
         cache->beginBatch();
     }
 
-    if (!config_.clustering)
-        return analyzeIndividualImpl(ptrs, slos, cache, fps, engine);
-
-    // Weighted-Jaccard over encoded span sets, pre-encoded once per
-    // trace, then memoized into one packed matrix per batch (paper
-    // Eq. 1). Encoding validates each trace; malformed ones are
-    // compacted out so they neither crash the batch nor distort
-    // clustering. A cached encoding implies the trace was well-formed
-    // last time it was seen, so hits skip validation too.
+    // Validate every trace once. The weighted-Jaccard matrix (paper
+    // Eq. 1) also needs each trace's span set, encoded from the same
+    // graph. A cached encoding implies the trace was well-formed when
+    // it was stored, so hits skip validation too.
+    const bool encode = config_.clustering && oracle == nullptr;
     std::vector<std::string> errors(n);
-    std::vector<distance::WeightedSpanSet> sets(n);
-    std::vector<char> needEncode(n, 1);
-    if (cache != nullptr) {
+    std::vector<distance::WeightedSpanSet> sets(encode ? n : 0);
+    std::vector<char> cached(n, 0);
+    if (cache != nullptr && encode) {
         for (size_t i = 0; i < n; ++i) {
             if (const distance::WeightedSpanSet *hit =
                     cache->lookupEncoding(traces[i].traceId, fps[i])) {
                 sets[i] = *hit;
-                needEncode[i] = 0;
+                cached[i] = 1;
             }
         }
     }
     {
         obs::ScopedTimer timer(stageHistogram(Stage::Encode));
         engine.pool.parallelFor(n, [&](size_t i, size_t) {
-            if (!needEncode[i])
-                return;
             trace::TraceGraph g;
-            std::string err;
-            if (!trace::TraceGraph::tryBuild(traces[i], &g, &err)) {
-                errors[i] = err;
+            if (cached[i] ||
+                !trace::TraceGraph::tryBuild(traces[i], &g, &errors[i]))
                 return;
-            }
-            sets[i] = distance::encodeSpanSet(traces[i], g,
-                                              config_.distanceOpts);
+            if (encode)
+                sets[i] = distance::encodeSpanSet(traces[i], g,
+                                                  config_.distanceOpts);
         });
     }
-    if (cache != nullptr)
+    if (cache != nullptr && encode)
         for (size_t i = 0; i < n; ++i)
-            if (needEncode[i] && errors[i].empty())
+            if (!cached[i] && errors[i].empty())
                 cache->storeEncoding(traces[i].traceId, fps[i], sets[i]);
 
+    // Compact the well-formed traces: malformed ones never reach the
+    // matrix, the clustering or the RCA.
     std::vector<size_t> valid;
     valid.reserve(n);
     for (size_t i = 0; i < n; ++i)
         if (errors[i].empty())
             valid.push_back(i);
-
-    auto distanceMatrix =
-        [&](const std::vector<distance::WeightedSpanSet> &s) {
-            obs::ScopedTimer timer(stageHistogram(Stage::Distance));
-            return distance::DistanceMatrix::fromSpanSets(s,
-                                                          &engine.pool);
-        };
-    if (valid.size() == n)
-        return analyzeCore(ptrs, slos, distanceMatrix(sets), errors,
-                           engine, cache, fps);
-
-    // Compact the well-formed subset, analyze it, scatter back.
-    std::vector<const trace::Trace *> sub_ptrs;
-    std::vector<int64_t> sub_slos;
-    std::vector<distance::WeightedSpanSet> sub_sets;
-    std::vector<uint64_t> sub_fps;
-    sub_ptrs.reserve(valid.size());
-    sub_slos.reserve(valid.size());
-    sub_sets.reserve(valid.size());
-    for (size_t i : valid) {
-        sub_ptrs.push_back(ptrs[i]);
-        sub_slos.push_back(slos[i]);
-        sub_sets.push_back(std::move(sets[i]));
+    const size_t m = valid.size();
+    std::vector<const trace::Trace *> sub_traces(m);
+    std::vector<int64_t> sub_slos(m);
+    std::vector<uint64_t> sub_fps(cache != nullptr ? m : 0);
+    std::vector<distance::WeightedSpanSet> sub_sets(encode ? m : 0);
+    for (size_t k = 0; k < m; ++k) {
+        sub_traces[k] = &traces[valid[k]];
+        sub_slos[k] = slos[valid[k]];
         if (cache != nullptr)
-            sub_fps.push_back(fps[i]);
+            sub_fps[k] = fps[valid[k]];
+        if (encode)
+            sub_sets[k] = std::move(sets[valid[k]]);
     }
-    PipelineResult sub = analyzeCore(
-        sub_ptrs, sub_slos, distanceMatrix(sub_sets),
-        std::vector<std::string>(valid.size()), engine, cache, sub_fps);
 
-    PipelineResult scattered;
-    scattered.perTrace.resize(n);
-    scattered.clusterLabels.assign(n, -1);
-    scattered.numClusters = sub.numClusters;
-    scattered.rcaInvocations = sub.rcaInvocations;
-    scattered.distanceEvaluations = sub.distanceEvaluations;
-    scattered.skippedTraces = n - valid.size();
-    for (size_t k = 0; k < valid.size(); ++k) {
-        scattered.perTrace[valid[k]] = std::move(sub.perTrace[k]);
-        scattered.clusterLabels[valid[k]] = sub.clusterLabels[k];
+    // Their matrix, memoized once: from the span sets, or from the
+    // caller's oracle consulted only on well-formed index pairs.
+    distance::DistanceMatrix dist;
+    if (config_.clustering) {
+        obs::ScopedTimer timer(stageHistogram(Stage::Distance));
+        dist = encode
+                   ? distance::DistanceMatrix::fromSpanSets(sub_sets,
+                                                            &engine.pool)
+                   : distance::DistanceMatrix::compute(
+                         m, [&](size_t a, size_t b) {
+                             return (*oracle)(valid[a], valid[b]);
+                         });
     }
-    for (size_t i = 0; i < n; ++i)
-        if (!errors[i].empty())
-            scattered.perTrace[i] = errorVerdict(errors[i]);
-    return scattered;
-}
+    PipelineResult sub =
+        analyzeCore(sub_traces, sub_slos,
+                    config_.clustering ? &dist : nullptr, engine, cache,
+                    sub_fps);
 
-PipelineResult
-SleuthPipeline::analyzeWithDistance(
-    const std::vector<trace::Trace> &traces,
-    const std::vector<int64_t> &slos,
-    const std::function<double(size_t, size_t)> &dist) const
-{
-    if (!config_.clustering) {
-        countBatch(traces.size());
-        std::vector<const trace::Trace *> ptrs(traces.size());
-        for (size_t i = 0; i < traces.size(); ++i)
-            ptrs[i] = &traces[i];
-        Engine engine(*this);
-        return analyzeIndividualImpl(ptrs, slos, nullptr, {}, engine);
-    }
-    return analyzeWithMatrix(
-        traces, slos,
-        distance::DistanceMatrix::compute(traces.size(), dist));
-}
-
-PipelineResult
-SleuthPipeline::analyzeIndividualImpl(
-    const std::vector<const trace::Trace *> &traces,
-    const std::vector<int64_t> &slos, PipelineCache *cache,
-    const std::vector<uint64_t> &fps, Engine &engine) const
-{
-    const size_t n = traces.size();
+    // Scatter back; each malformed trace gets an error verdict and
+    // label -1.
     PipelineResult out;
     out.perTrace.resize(n);
     out.clusterLabels.assign(n, -1);
-
-    // Cached verdicts first: a stored verdict with a matching
-    // fingerprint implies the trace was well-formed, so hits also skip
-    // re-validation.
-    std::vector<char> done(n, 0);
-    if (cache != nullptr) {
-        for (size_t i = 0; i < n; ++i) {
-            const RcaResult *hit = cache->lookupVerdict(
-                traces[i]->traceId, fps[i], slos[i]);
-            if (hit != nullptr) {
-                out.perTrace[i] = *hit;
-                done[i] = 1;
-            }
-        }
+    out.numClusters = sub.numClusters;
+    out.rcaInvocations = sub.rcaInvocations;
+    out.distanceEvaluations = sub.distanceEvaluations;
+    out.skippedTraces = n - m;
+    for (size_t k = 0; k < m; ++k) {
+        out.perTrace[valid[k]] = std::move(sub.perTrace[k]);
+        out.clusterLabels[valid[k]] = sub.clusterLabels[k];
     }
-    std::vector<size_t> todo;
-    todo.reserve(n);
     for (size_t i = 0; i < n; ++i)
-        if (!done[i])
-            todo.push_back(i);
-    std::vector<std::string> errors(todo.size());
-    engine.pool.parallelFor(todo.size(), [&](size_t k, size_t) {
-        trace::TraceGraph g;
-        std::string err;
-        if (!trace::TraceGraph::tryBuild(*traces[todo[k]], &g, &err))
-            errors[k] = err;
-    });
-    std::vector<size_t> runnable;
-    runnable.reserve(todo.size());
-    for (size_t k = 0; k < todo.size(); ++k) {
-        if (errors[k].empty()) {
-            runnable.push_back(todo[k]);
-        } else {
-            out.perTrace[todo[k]] = errorVerdict(errors[k]);
-            ++out.skippedTraces;
-        }
-    }
-    {
-        obs::ScopedTimer timer(stageHistogram(Stage::Rca));
-        engine.pool.parallelFor(runnable.size(), [&](size_t k,
-                                                     size_t w) {
-            size_t i = runnable[k];
-            out.perTrace[i] = engine.rcaFor(w).analyze(*traces[i], slos[i]);
-        });
-    }
-    if (cache != nullptr)
-        for (size_t i : runnable)
-            cache->storeVerdict(traces[i]->traceId, fps[i], slos[i],
-                                out.perTrace[i]);
-    out.rcaInvocations = n - out.skippedTraces;
+        if (!errors[i].empty())
+            out.perTrace[i].error = "malformed trace: " + errors[i];
+    static obs::Counter &skipped = obs::counter(
+        "sleuth_pipeline_skipped_traces_total",
+        "Malformed traces skipped by analysis batches");
+    skipped.add(out.skippedTraces);
     return out;
-}
-
-PipelineResult
-SleuthPipeline::analyzeWithMatrix(
-    const std::vector<trace::Trace> &traces,
-    const std::vector<int64_t> &slos,
-    const distance::DistanceMatrix &dist) const
-{
-    SLEUTH_ASSERT(traces.size() == slos.size(),
-                  "trace/slo count mismatch");
-    SLEUTH_ASSERT(dist.size() == traces.size(),
-                  "distance matrix / trace count mismatch");
-    countBatch(traces.size());
-    Engine engine(*this);
-    std::vector<const trace::Trace *> ptrs(traces.size());
-    std::vector<std::string> errors(traces.size());
-    for (size_t i = 0; i < traces.size(); ++i)
-        ptrs[i] = &traces[i];
-    engine.pool.parallelFor(traces.size(), [&](size_t i, size_t) {
-        trace::TraceGraph g;
-        std::string err;
-        if (!trace::TraceGraph::tryBuild(traces[i], &g, &err))
-            errors[i] = err;
-    });
-    return analyzeCore(ptrs, slos, dist, errors, engine);
 }
 
 PipelineResult
 SleuthPipeline::analyzeCore(
     const std::vector<const trace::Trace *> &traces,
     const std::vector<int64_t> &slos,
-    const distance::DistanceMatrix &dist,
-    const std::vector<std::string> &errors, Engine &engine,
+    const distance::DistanceMatrix *dist, Engine &engine,
     PipelineCache *cache, const std::vector<uint64_t> &fps) const
 {
-    SLEUTH_ASSERT(dist.size() == traces.size(),
-                  "distance matrix / trace count mismatch");
     const size_t n = traces.size();
     PipelineResult out;
     out.perTrace.resize(n);
     out.clusterLabels.assign(n, -1);
     if (n == 0)
         return out;
-    // Distance work is accounted over the well-formed traces only, so
-    // the analyzeWithMatrix path (whose caller-provided matrix covers
-    // malformed rows too) reports the same m(m-1)/2 the compacted
-    // analyze() path does for the same batch.
-    size_t well_formed = 0;
-    for (size_t i = 0; i < n; ++i)
-        if (errors[i].empty())
-            ++well_formed;
-    out.distanceEvaluations =
-        well_formed * (well_formed > 0 ? well_formed - 1 : 0) / 2;
 
-    cluster::ClusterResult clusters = [&] {
+    if (dist != nullptr) {
+        SLEUTH_ASSERT(dist->size() == n,
+                      "distance matrix / trace count mismatch");
+        out.distanceEvaluations = n * (n - 1) / 2;
         obs::ScopedTimer timer(stageHistogram(Stage::Cluster));
-        return config_.algorithm == PipelineConfig::Algorithm::Hdbscan
-                   ? cluster::hdbscan(dist, config_.hdbscan)
-                   : cluster::dbscan(dist, config_.dbscan);
-    }();
-
-    // Malformed traces (analyzeWithMatrix path: the caller's matrix
-    // covers them) are forced out of their clusters; cluster IDs are
-    // then compacted so no cluster is left empty.
-    std::vector<bool> assigned(n, false);
-    for (size_t i = 0; i < n; ++i) {
-        if (!errors[i].empty()) {
-            clusters.labels[i] = -1;
-            out.perTrace[i] = errorVerdict(errors[i]);
-            assigned[i] = true;
-            ++out.skippedTraces;
-        }
+        cluster::ClusterResult clusters =
+            config_.algorithm == PipelineConfig::Algorithm::Hdbscan
+                ? cluster::hdbscan(*dist, config_.hdbscan)
+                : cluster::dbscan(*dist, config_.dbscan);
+        out.clusterLabels = std::move(clusters.labels);
+        out.numClusters = clusters.numClusters;
     }
-    if (out.skippedTraces > 0) {
-        std::vector<int> remap(
-            static_cast<size_t>(clusters.numClusters), -1);
-        int next = 0;
-        for (size_t i = 0; i < n; ++i) {
-            int c = clusters.labels[i];
-            if (c < 0)
-                continue;
-            if (remap[static_cast<size_t>(c)] < 0)
-                remap[static_cast<size_t>(c)] = next++;
-            clusters.labels[i] = remap[static_cast<size_t>(c)];
-        }
-        clusters.numClusters = next;
-    }
-    out.clusterLabels = clusters.labels;
-    out.numClusters = clusters.numClusters;
 
     auto cachedVerdict = [&](size_t i) -> const RcaResult * {
         return cache != nullptr
@@ -418,9 +276,11 @@ SleuthPipeline::analyzeCore(
     // member. Verdicts memoized by the incremental cache are filled in
     // serially first; only misses run the model.
     obs::ScopedTimer rca_timer(stageHistogram(Stage::Rca));
-    std::vector<size_t> reps = cluster::selectRepresentatives(
-        clusters.labels, clusters.numClusters, dist);
-    const size_t num_clusters = static_cast<size_t>(clusters.numClusters);
+    const size_t num_clusters = static_cast<size_t>(out.numClusters);
+    std::vector<size_t> reps;
+    if (num_clusters > 0)
+        reps = cluster::selectRepresentatives(out.clusterLabels,
+                                              out.numClusters, *dist);
     std::vector<RcaResult> verdicts(num_clusters);
     std::vector<size_t> miss_clusters;
     miss_clusters.reserve(num_clusters);
@@ -443,22 +303,24 @@ SleuthPipeline::analyzeCore(
                                 verdicts[c]);
         }
     out.rcaInvocations += num_clusters;
-    for (int c = 0; c < clusters.numClusters; ++c) {
+    std::vector<bool> assigned(n, false);
+    for (int c = 0; c < out.numClusters; ++c) {
         size_t rep = reps[static_cast<size_t>(c)];
         for (size_t i = 0; i < n; ++i) {
-            if (clusters.labels[i] != c)
+            if (out.clusterLabels[i] != c)
                 continue;
             // Far-from-representative members do not inherit the
             // verdict; they fall through to individual analysis.
             if (config_.maxRepresentativeDistance > 0.0 && i != rep &&
-                dist.at(i, rep) > config_.maxRepresentativeDistance)
+                dist->at(i, rep) > config_.maxRepresentativeDistance)
                 continue;
             out.perTrace[i] = verdicts[static_cast<size_t>(c)];
             assigned[i] = true;
         }
     }
-    // Noise traces and far members are analyzed individually, again
-    // into preallocated per-trace slots (cache hits first, as above).
+    // Noise traces and far members — every trace when clustering is
+    // off — are analyzed individually, again into preallocated
+    // per-trace slots (cache hits first, as above).
     std::vector<size_t> rest;
     for (size_t i = 0; i < n; ++i)
         if (!assigned[i])
@@ -483,11 +345,7 @@ SleuthPipeline::analyzeCore(
     static obs::Counter &rcaRuns = obs::counter(
         "sleuth_pipeline_rca_invocations_total",
         "Counterfactual RCA analyses run");
-    static obs::Counter &skipped = obs::counter(
-        "sleuth_pipeline_skipped_traces_total",
-        "Malformed traces skipped by analysis batches");
     rcaRuns.add(miss_clusters.size() + miss_rest.size());
-    skipped.add(out.skippedTraces);
     return out;
 }
 

@@ -84,9 +84,8 @@ struct PipelineResult
      * Pairwise distance evaluations performed for this batch: exactly
      * m(m-1)/2 over the m well-formed traces when clustering ran (the
      * matrix is computed once and memoized), 0 when clustering was
-     * disabled. Malformed traces never count, on any analyze path —
-     * including analyzeWithMatrix, whose caller-provided matrix covers
-     * their rows.
+     * disabled. Malformed traces never reach the matrix, whether it is
+     * built from span sets or from a caller's distance.
      */
     size_t distanceEvaluations = 0;
     /**
@@ -146,24 +145,16 @@ class SleuthPipeline
 
     /**
      * As analyze(), but clustering uses a caller-provided distance
-     * (e.g. the DeepTraLog SVDD embedding distance for comparison).
-     * The oracle is invoked exactly n(n-1)/2 times to memoize a
-     * DistanceMatrix; every downstream consumer reads the matrix.
+     * (e.g. the DeepTraLog SVDD embedding distance for comparison)
+     * over indices into traces. Malformed traces are compacted out
+     * first, exactly as in analyze(): the oracle is invoked only on
+     * well-formed index pairs, m(m-1)/2 times, to memoize a
+     * DistanceMatrix that every downstream consumer reads.
      */
     PipelineResult analyzeWithDistance(
         const std::vector<trace::Trace> &traces,
         const std::vector<int64_t> &slos,
         const std::function<double(size_t, size_t)> &dist) const;
-
-    /**
-     * As analyze(), over an already-materialized distance matrix
-     * (clustering, representative selection, and the far-member guard
-     * all read it directly; no distance is ever recomputed).
-     */
-    PipelineResult analyzeWithMatrix(
-        const std::vector<trace::Trace> &traces,
-        const std::vector<int64_t> &slos,
-        const distance::DistanceMatrix &dist) const;
 
   private:
     /**
@@ -173,27 +164,30 @@ class SleuthPipeline
      */
     struct Engine;
 
-    /** Per-trace RCA for every input (the clustering-off path). */
-    PipelineResult analyzeIndividualImpl(
-        const std::vector<const trace::Trace *> &traces,
+    /**
+     * The one analysis flow behind analyze() and analyzeWithDistance():
+     * validate each trace once (encoding its span set unless an oracle
+     * supplies the distance or clustering is off), compact the
+     * well-formed ones, build their matrix when clustering, run
+     * analyzeCore, and scatter the results back with an error verdict
+     * and label -1 per malformed trace.
+     */
+    PipelineResult analyzeBatch(
+        const std::vector<trace::Trace> &traces,
         const std::vector<int64_t> &slos, PipelineCache *cache,
-        const std::vector<uint64_t> &fps, Engine &engine) const;
+        const std::function<double(size_t, size_t)> *oracle) const;
 
     /**
-     * Clustered analysis over a batch addressed by pointer, with
-     * malformed traces pre-marked (errors[i] non-empty): they get an
-     * error verdict, label -1, and never reach the RCA. dist must
-     * cover all of traces (malformed rows included, as provided by
-     * the caller of analyzeWithMatrix). fps holds the traces' cache
+     * Clustering and RCA over well-formed traces addressed by pointer.
+     * dist covers exactly these traces; nullptr (clustering off)
+     * analyzes every trace individually. fps holds the traces' cache
      * fingerprints (empty when cache is null).
      */
     PipelineResult analyzeCore(
         const std::vector<const trace::Trace *> &traces,
         const std::vector<int64_t> &slos,
-        const distance::DistanceMatrix &dist,
-        const std::vector<std::string> &errors, Engine &engine,
-        PipelineCache *cache = nullptr,
-        const std::vector<uint64_t> &fps = {}) const;
+        const distance::DistanceMatrix *dist, Engine &engine,
+        PipelineCache *cache, const std::vector<uint64_t> &fps) const;
 
     const SleuthGnn &model_;
     FeatureEncoder &encoder_;

@@ -7,19 +7,15 @@
 
 namespace sleuth::online {
 
-namespace {
-
-/** Root-span start time (first span as fallback for malformed). */
-int64_t
-rootStartUs(const trace::Trace &t)
+bool
+canonicalTraceOrder(const trace::Trace &a, const trace::Trace &b)
 {
-    for (const trace::Span &s : t.spans)
-        if (s.parentSpanId.empty())
-            return s.startUs;
-    return t.spans.empty() ? 0 : t.spans.front().startUs;
+    int64_t sa = a.rootStartUs();
+    int64_t sb = b.rootStartUs();
+    if (sa != sb)
+        return sa < sb;
+    return a.traceId < b.traceId;
 }
-
-} // namespace
 
 SpanAssembler::SpanAssembler(AssemblerConfig config)
     : config_(config),
@@ -132,14 +128,7 @@ SpanAssembler::drain(int64_t nowUs)
         }
     }
     pruneClosed();
-    std::sort(out.begin(), out.end(),
-              [](const trace::Trace &a, const trace::Trace &b) {
-                  int64_t sa = rootStartUs(a);
-                  int64_t sb = rootStartUs(b);
-                  if (sa != sb)
-                      return sa < sb;
-                  return a.traceId < b.traceId;
-              });
+    std::sort(out.begin(), out.end(), canonicalTraceOrder);
     return out;
 }
 
@@ -165,14 +154,7 @@ SpanAssembler::flush()
         rememberClosed(it->first);
         it = pending_.erase(it);
     }
-    std::sort(out.begin(), out.end(),
-              [](const trace::Trace &a, const trace::Trace &b) {
-                  int64_t sa = rootStartUs(a);
-                  int64_t sb = rootStartUs(b);
-                  if (sa != sb)
-                      return sa < sb;
-                  return a.traceId < b.traceId;
-              });
+    std::sort(out.begin(), out.end(), canonicalTraceOrder);
     return out;
 }
 

@@ -48,6 +48,12 @@ struct SpanEvent
     trace::Span span;
 };
 
+/**
+ * The canonical trace order, (root start, traceId): assembler output,
+ * merged shard batches and incident snapshots all sort by it.
+ */
+bool canonicalTraceOrder(const trace::Trace &a, const trace::Trace &b);
+
 /** Assembly knobs. */
 struct AssemblerConfig
 {

@@ -57,15 +57,6 @@ ingestRange(OnlineService *service, std::vector<Delivery> &all,
         service->ingest(std::move(all[i].event));
 }
 
-const trace::Span *
-rootSpan(const trace::Trace &t)
-{
-    for (const trace::Span &s : t.spans)
-        if (s.parentSpanId.empty())
-            return &s;
-    return nullptr;
-}
-
 } // namespace
 
 LiveRunResult
@@ -197,13 +188,11 @@ runLiveLoad(const synth::AppConfig &app, const sim::ClusterModel &cluster,
             continue;
         int64_t onset = INT64_MAX;
         for (const trace::Trace &t : incident.anomalousTraces) {
-            const trace::Span *root = rootSpan(t);
-            if (root == nullptr)
-                continue;
             // Stragglers that were already anomalous before the fault
             // phase (healthy-tail SLO misses) are not storm onset.
-            if (root->startUs >= phase_start)
-                onset = std::min(onset, root->startUs);
+            int64_t start = t.rootStartUs();
+            if (start >= phase_start)
+                onset = std::min(onset, start);
         }
         if (onset == INT64_MAX)
             onset = phase_start;

@@ -126,18 +126,20 @@ OnlineService::drainShard(Shard *shard, int64_t nowUs,
     std::vector<RingEntry> &batch = shard->batch;
 
     // The ring interleaves producer streams nondeterministically;
-    // canonical event-time order restores a batch that is a pure
-    // function of the event multiset before any decision is taken.
-    // Duplicate deliveries tie on every key and are content-identical,
-    // so an unstable sort is still deterministic.
-    std::sort(batch.begin(), batch.end(),
-              [](const RingEntry &a, const RingEntry &b) {
-                  if (a.event.span.endUs != b.event.span.endUs)
-                      return a.event.span.endUs < b.event.span.endUs;
-                  if (a.event.traceId != b.event.traceId)
-                      return a.event.traceId < b.event.traceId;
-                  return a.event.span.spanId < b.event.span.spanId;
-              });
+    // canonical event-time order (endUs, traceId, spanId) restores a
+    // batch that is a pure function of the event multiset before any
+    // decision is taken. Duplicate deliveries tie on every key and are
+    // content-identical, so an unstable sort is still deterministic.
+    auto eventTimeOrder = [](const RingEntry &a, const RingEntry &b) {
+        const SpanEvent &x = a.event;
+        const SpanEvent &y = b.event;
+        if (x.span.endUs != y.span.endUs)
+            return x.span.endUs < y.span.endUs;
+        if (x.traceId != y.traceId)
+            return x.traceId < y.traceId;
+        return x.span.spanId < y.span.spanId;
+    };
+    std::sort(batch.begin(), batch.end(), eventTimeOrder);
 
     // Poll-side deterministic shedding: survivors are a pure function
     // of the (sorted) batch, never of producer interleaving.
@@ -171,17 +173,7 @@ OnlineService::drainShard(Shard *shard, int64_t nowUs,
             end = budget;
             // Restore event-time order among the survivors so the
             // assembler feed stays canonical.
-            std::sort(batch.begin(), batch.begin() + end,
-                      [](const RingEntry &a, const RingEntry &b) {
-                          if (a.event.span.endUs != b.event.span.endUs)
-                              return a.event.span.endUs <
-                                     b.event.span.endUs;
-                          if (a.event.traceId != b.event.traceId)
-                              return a.event.traceId <
-                                     b.event.traceId;
-                          return a.event.span.spanId <
-                                 b.event.span.spanId;
-                      });
+            std::sort(batch.begin(), batch.begin() + end, eventTimeOrder);
             break;
         }
         shard->ringStats.countDrop(collector::DropReason::Shed, shed);
@@ -274,16 +266,7 @@ OnlineService::poll(int64_t nowUs)
     obs_ingested_flushed_ = ingested_total;
     // Shards emit canonically; re-sort the merged batch so the shard
     // count never shows in downstream order.
-    std::sort(completed.begin(), completed.end(),
-              [](const trace::Trace &a, const trace::Trace &b) {
-                  const trace::Span *ra = rootSpan(a);
-                  const trace::Span *rb = rootSpan(b);
-                  int64_t sa = ra ? ra->startUs : 0;
-                  int64_t sb = rb ? rb->startUs : 0;
-                  if (sa != sb)
-                      return sa < sb;
-                  return a.traceId < b.traceId;
-              });
+    std::sort(completed.begin(), completed.end(), canonicalTraceOrder);
     static obs::Histogram &batch = obs::histogram(
         "sleuth_service_poll_batch_traces",
         "Traces completed per service poll");
@@ -325,16 +308,7 @@ OnlineService::drainAll(int64_t nowUs)
                          std::make_move_iterator(done.begin()),
                          std::make_move_iterator(done.end()));
     }
-    std::sort(completed.begin(), completed.end(),
-              [](const trace::Trace &a, const trace::Trace &b) {
-                  const trace::Span *ra = rootSpan(a);
-                  const trace::Span *rb = rootSpan(b);
-                  int64_t sa = ra ? ra->startUs : 0;
-                  int64_t sb = rb ? rb->startUs : 0;
-                  if (sa != sb)
-                      return sa < sb;
-                  return a.traceId < b.traceId;
-              });
+    std::sort(completed.begin(), completed.end(), canonicalTraceOrder);
     absorb(std::move(completed));
     // Evaluate at nowUs itself: the flush already forfeited lateness.
     watermark_ = std::max(watermark_, nowUs);
@@ -494,15 +468,8 @@ OnlineService::analyzeIncident(Incident *incident, int64_t watermark_us)
     for (size_t i = 0; i < order.size(); ++i)
         order[i] = i;
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        const trace::Trace &ta = incident->anomalousTraces[a];
-        const trace::Trace &tb = incident->anomalousTraces[b];
-        const trace::Span *ra = rootSpan(ta);
-        const trace::Span *rb = rootSpan(tb);
-        int64_t sa = ra ? ra->startUs : 0;
-        int64_t sb = rb ? rb->startUs : 0;
-        if (sa != sb)
-            return sa < sb;
-        return ta.traceId < tb.traceId;
+        return canonicalTraceOrder(incident->anomalousTraces[a],
+                                   incident->anomalousTraces[b]);
     });
     std::vector<trace::Trace> sorted_traces;
     std::vector<int64_t> sorted_slos;
@@ -533,13 +500,9 @@ OnlineService::analyzeIncident(Incident *incident, int64_t watermark_us)
     }
 
     if (!incident->anomalousTraces.empty()) {
-        const trace::Span *first = rootSpan(incident->anomalousTraces[0]);
-        int64_t earliest = first ? first->startUs : 0;
-        for (const trace::Trace &t : incident->anomalousTraces) {
-            const trace::Span *r = rootSpan(t);
-            if (r != nullptr)
-                earliest = std::min(earliest, r->startUs);
-        }
+        int64_t earliest = incident->anomalousTraces[0].rootStartUs();
+        for (const trace::Trace &t : incident->anomalousTraces)
+            earliest = std::min(earliest, t.rootStartUs());
         incident->detectionLatencyUs = incident->openedAtUs - earliest;
     }
 

@@ -17,6 +17,15 @@ Trace::rootDurationUs() const
     return 0;
 }
 
+int64_t
+Trace::rootStartUs() const
+{
+    for (const Span &s : spans)
+        if (s.parentSpanId.empty())
+            return s.startUs;
+    return 0;
+}
+
 bool
 Trace::hasError() const
 {

@@ -25,6 +25,9 @@ struct Trace
     /** End-to-end duration: the root span's duration (0 when empty). */
     int64_t rootDurationUs() const;
 
+    /** The root span's start time (0 when there is no root). */
+    int64_t rootStartUs() const;
+
     /** True when any span carries an error status. */
     bool hasError() const;
 };

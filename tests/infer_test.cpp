@@ -110,9 +110,11 @@ TEST(Infer, SockShopSelfCloneStructure)
     EXPECT_GE(clone.rpcs.size(), 10u);
 
     // Entry services classify as Frontend.
-    for (const ServiceConfig &s : clone.services)
-        if (s.name == "front-end")
+    for (const ServiceConfig &s : clone.services) {
+        if (s.name == "front-end") {
             EXPECT_EQ(s.tier, Tier::Frontend);
+        }
+    }
 
     // Observed SLOs carry into the clone's flows.
     bool anySlo = false;

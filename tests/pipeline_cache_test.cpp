@@ -343,10 +343,17 @@ TEST(PipelineCache, OrphanParentTraceKeepsItsErrorVerdictAndIsNeverCached)
         expectSameResult(fresh, cold);
         EXPECT_EQ(cache.size(), traces.size() - 1);
 
+        PipelineCache::Stats before = cache.stats();
         PipelineResult warm = pipeline.analyze(traces, slos, &cache);
         expectSameResult(fresh, warm);
         EXPECT_EQ(cache.size(), traces.size() - 1);
         EXPECT_EQ(cache.stats().invalidations, 0u);
+        // The orphan is validated before any verdict lookup, so it
+        // never misses one; only the clustered path looks up (and
+        // misses) its encoding.
+        EXPECT_EQ(cache.stats().verdictMisses, before.verdictMisses);
+        EXPECT_EQ(cache.stats().encodingMisses - before.encodingMisses,
+                  cfg.clustering ? 1u : 0u);
     }
 }
 

@@ -214,11 +214,11 @@ TEST(PipelineMechanics, MalformedTraceInBatchIsSkippedNotFatal)
 
 TEST(PipelineMechanics, MatrixPathAccountsMalformedLikeAnalyze)
 {
-    // Regression: analyzeCore used to charge n(n-1)/2 distance
-    // evaluations on the analyzeWithMatrix path even when the batch
-    // contained malformed traces, while analyze() (which compacts them
-    // out before building its matrix) reported m(m-1)/2 over the m
-    // well-formed traces. The two paths must agree on the accounting.
+    // Regression: the caller-distance path used to charge n(n-1)/2
+    // distance evaluations even when the batch contained malformed
+    // traces, while analyze() (which compacts them out before building
+    // its matrix) reported m(m-1)/2 over the m well-formed traces. The
+    // two paths must agree on the accounting.
     PipeFixture &f = pipeFixture();
     std::vector<trace::Trace> traces = storm("backend", 8, 21);
     trace::Trace orphan;
@@ -235,8 +235,8 @@ TEST(PipelineMechanics, MatrixPathAccountsMalformedLikeAnalyze)
                    .clusterSelectionEpsilon = 0.0};
     SleuthPipeline pipeline(f.model, f.encoder, f.profile, cfg);
 
-    // A caller-provided distance covering every row, malformed
-    // included (as analyzeWithMatrix documents the matrix must).
+    // A caller-provided distance defined on every row, malformed
+    // included.
     std::function<double(size_t, size_t)> flat = [](size_t, size_t) {
         return 0.1;
     };
@@ -347,6 +347,89 @@ TEST(PipelineMechanics, ParallelAnalyzeIsBitwiseIdenticalToSerial)
         expectSameResult(pi1.analyze(traces, slos),
                          pi.analyze(traces, slos));
     }
+}
+
+TEST(PipelineMechanics, CallerDistanceClustersWellFormedLikeCleanBatch)
+{
+    // Regression: the caller-distance path used to keep malformed
+    // traces in the oracle's matrix and evict them only after
+    // clustering. An orphan at distance 0 from every row then chained
+    // the whole batch through itself and turned every well-formed
+    // trace into noise. It must be compacted out first, as analyze()
+    // does, so the well-formed traces cluster exactly as the clean
+    // batch does.
+    PipeFixture &f = pipeFixture();
+    std::vector<trace::Trace> clean = storm("backend", 6, 31);
+    std::vector<trace::Trace> other = storm("cache", 6, 32);
+    clean.insert(clean.end(), other.begin(), other.end());
+    // Group per trace: two storms, then three singletons.
+    std::vector<int> clean_groups(6, 0);
+    clean_groups.resize(12, 1);
+    util::Rng rng(33);
+    for (const char *backend : {"db", "queue", "auth"}) {
+        clean.push_back(PipeFixture::makeTrace(rng, backend, true));
+        clean_groups.push_back(static_cast<int>(clean_groups.size()));
+    }
+    std::vector<int64_t> clean_slos(clean.size(), 900);
+
+    const size_t orphan_at = 7;
+    trace::Trace orphan;
+    orphan.traceId = "orphan";
+    orphan.spans.push_back(
+        makeSpan("r", "", "frontend", "Handle", 0, 100));
+    orphan.spans.push_back(
+        makeSpan("x", "nosuchspan", "backend", "Get", 10, 60));
+    std::vector<trace::Trace> dirty = clean;
+    dirty.insert(dirty.begin() + orphan_at, orphan);
+    std::vector<int> dirty_groups = clean_groups;
+    dirty_groups.insert(dirty_groups.begin() + orphan_at, -1);
+    std::vector<int64_t> dirty_slos(dirty.size(), 900);
+
+    // Storm mates sit at 0.1, everything else at 1.0; the orphan (group
+    // -1) is at 0 from every row.
+    const std::vector<int> *groups = &clean_groups;
+    size_t calls = 0;
+    bool orphan_seen = false;
+    std::function<double(size_t, size_t)> dist = [&](size_t a, size_t b) {
+        ++calls;
+        int ga = (*groups)[a];
+        int gb = (*groups)[b];
+        if (ga < 0 || gb < 0) {
+            orphan_seen = true;
+            return 0.0;
+        }
+        return ga == gb ? 0.1 : 1.0;
+    };
+
+    PipelineConfig cfg;
+    cfg.hdbscan = {.minClusterSize = 4, .minSamples = 2,
+                   .clusterSelectionEpsilon = 0.0};
+    SleuthPipeline pipeline(f.model, f.encoder, f.profile, cfg);
+    PipelineResult base = pipeline.analyzeWithDistance(clean, clean_slos,
+                                                       dist);
+    ASSERT_EQ(base.numClusters, 2);
+    // Two representatives plus three singletons.
+    ASSERT_EQ(base.rcaInvocations, 5u);
+
+    groups = &dirty_groups;
+    calls = 0;
+    PipelineResult res = pipeline.analyzeWithDistance(dirty, dirty_slos,
+                                                      dist);
+    const size_t m = clean.size();
+    EXPECT_EQ(calls, m * (m - 1) / 2);
+    EXPECT_FALSE(orphan_seen);
+    EXPECT_EQ(res.skippedTraces, 1u);
+    EXPECT_FALSE(res.perTrace[orphan_at].error.empty());
+    EXPECT_EQ(res.clusterLabels[orphan_at], -1);
+
+    // Dropping the orphan's slot leaves exactly the clean batch's
+    // result: labels, verdicts, RCA and distance accounting.
+    PipelineResult well_formed = res;
+    well_formed.perTrace.erase(well_formed.perTrace.begin() + orphan_at);
+    well_formed.clusterLabels.erase(well_formed.clusterLabels.begin() +
+                                    orphan_at);
+    well_formed.skippedTraces = 0;
+    expectSameResult(base, well_formed);
 }
 
 TEST(PipelineMechanics, EmptyInput)

@@ -7,14 +7,21 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "campaign/campaign.h"
 #include "util/logging.h"
 
+#include "cli_flags.h"
+
 using namespace sleuth;
 
 namespace {
+
+/** Upper bounds of the count flags. */
+constexpr int64_t kMaxScenarios = 1'000'000;
+constexpr int64_t kMaxShrinkRuns = 1'000'000;
 
 void
 usage()
@@ -47,17 +54,18 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--scenarios")
-            params.scenarios =
-                static_cast<size_t>(std::stoul(next()));
+            params.scenarios = static_cast<size_t>(
+                cli::parse<int64_t>(arg, next(), 1, kMaxScenarios));
         else if (arg == "--seed")
-            params.seed = std::stoull(next());
+            params.seed = cli::parse<uint64_t>(
+                arg, next(), 0, std::numeric_limits<uint64_t>::max());
         else if (arg == "--mutation")
             params.mutation = next();
         else if (arg == "--no-shrink")
             params.shrink = false;
         else if (arg == "--shrink-runs")
-            params.maxShrinkRuns =
-                static_cast<size_t>(std::stoul(next()));
+            params.maxShrinkRuns = static_cast<size_t>(
+                cli::parse<int64_t>(arg, next(), 0, kMaxShrinkRuns));
         else if (arg == "--repro-dir")
             repro_dir = next();
         else if (arg == "--bench-out")

@@ -126,6 +126,59 @@ expect_flag_error(--epochs ${SLEUTH_BIN} train --traces ${WORK_DIR}/t.json
                   --out ${WORK_DIR}/m2.json --epochs -3)
 expect_flag_error(--rpcs ${SERVICED_BIN} --rpcs abc)
 expect_flag_error(--requests ${SERVICED_BIN} --requests -5)
+# campaign_run: each value used to abort (exit 134) or wrap and be
+# accepted; a trailing --list would exit 0 on acceptance.
+expect_flag_error(--scenarios ${CAMPAIGN_RUN_BIN} --scenarios abc --list)
+expect_flag_error(--scenarios ${CAMPAIGN_RUN_BIN} --scenarios -1 --list)
+expect_flag_error(--seed ${CAMPAIGN_RUN_BIN} --seed xyz --list)
+expect_flag_error(--seed ${CAMPAIGN_RUN_BIN} --seed -5 --list)
+expect_flag_error(--shrink-runs ${CAMPAIGN_RUN_BIN}
+                  --shrink-runs 99999999999999999999999 --list)
+expect_flag_error(--shrink-runs ${CAMPAIGN_RUN_BIN} --shrink-runs -3 --list)
+
+# --- analyze / metrics: a malformed normal-profile trace is skipped
+# and counted, not fatal. Each run used to exit 1 with "fatal:
+# malformed trace 'orphan-normal'" and no verdicts. ---
+
+# A two-span trace record; parent is the child's parentSpanId.
+function(trace_record var id end_us parent)
+    set(${var} "{\"slo\": 500, \"trace\": {\"traceId\": \"${id}\", \"spans\": [\
+{\"spanId\": \"r\", \"parentSpanId\": \"\", \"service\": \"frontend\", \
+\"name\": \"Handle\", \"kind\": \"server\", \"startUs\": 0, \
+\"endUs\": ${end_us}, \"status\": \"ok\"}, \
+{\"spanId\": \"c\", \"parentSpanId\": \"${parent}\", \"service\": \"backend\", \
+\"name\": \"Get\", \"kind\": \"server\", \"startUs\": 20, \
+\"endUs\": ${end_us}, \"status\": \"ok\"}]}}" PARENT_SCOPE)
+endfunction()
+trace_record(slow slow-1 2000 r)
+trace_record(fast fast-1 200 r)
+trace_record(orphan orphan-normal 200 nosuchspan)
+file(WRITE ${WORK_DIR}/records.json "[${slow}, ${fast}, ${orphan}]")
+file(WRITE ${WORK_DIR}/normal.json "[${fast}, ${orphan}]")
+
+function(expect_profile_skip)
+    run_expect(0 out ${ARGN})
+    if(NOT out MATCHES "normal profile: skipped 1 malformed trace")
+        message(FATAL_ERROR "${ARGN}: profile skip not reported: ${out}")
+    endif()
+    set(out "${out}" PARENT_SCOPE)
+endfunction()
+
+set(analyze ${SLEUTH_BIN} analyze --model ${WORK_DIR}/model.json
+    --traces ${WORK_DIR}/records.json)
+expect_profile_skip(${analyze})
+if(NOT out MATCHES "slow-1 \\(2000 us / SLO 500 us\\): [a-z]")
+    message(FATAL_ERROR "analyze gave no verdict for slow-1: ${out}")
+endif()
+expect_profile_skip(${analyze} --normal ${WORK_DIR}/normal.json)
+if(NOT out MATCHES "analyzed 1 anomalous traces of 3")
+    message(FATAL_ERROR "analyze --normal summary absent: ${out}")
+endif()
+expect_profile_skip(${SLEUTH_BIN} metrics --model ${WORK_DIR}/model.json
+                    --traces ${WORK_DIR}/records.json)
+if(NOT out MATCHES "sleuth_pipeline_batches_total 1")
+    message(FATAL_ERROR "metrics did not analyze the batch: ${out}")
+endif()
 
 # More faults than the generated cluster has containers.
 run_expect(1 out ${SERVICED_BIN} --faults 999)

@@ -25,8 +25,8 @@ constexpr int64_t kMaxTraces = 1'000'000;
 constexpr int64_t kMaxThreads = 256;
 
 /**
- * flag's value as a T (int64_t or double) in [lo, hi]; exits on
- * anything else.
+ * flag's value as a T (int64_t, uint64_t or double) in [lo, hi];
+ * exits on anything else.
  */
 template <typename T>
 T

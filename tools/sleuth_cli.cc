@@ -225,6 +225,53 @@ loadRecords(const std::string &path)
     return out;
 }
 
+/** What `analyze` and `metrics` feed the pipeline. */
+struct AnalysisInput
+{
+    core::NormalProfile profile;
+    std::vector<trace::Trace> anomalous;
+    std::vector<int64_t> slos;
+};
+
+/**
+ * Build the normal profile — from --normal, else from the
+ * non-violating input traces — and the SLO-violating batch. Malformed
+ * profile traces are skipped and counted on stderr instead of killing
+ * the run (NormalProfile::add dies on them); a malformed violating
+ * trace reaches the pipeline, which gives it an error verdict.
+ */
+AnalysisInput
+loadAnalysisInput(const Args &args,
+                  const std::vector<TraceRecord> &records)
+{
+    AnalysisInput in;
+    size_t skipped = 0;
+    auto profile = [&](const trace::Trace &t) {
+        trace::TraceGraph g;
+        if (trace::TraceGraph::tryBuild(t, &g, nullptr))
+            in.profile.add(t);
+        else
+            ++skipped;
+    };
+    const bool normal_file = args.has("normal");
+    if (normal_file)
+        for (const TraceRecord &r : loadRecords(args.get("normal")))
+            profile(r.trace);
+    for (const TraceRecord &r : records) {
+        if (core::SloDetector::isAnomalous(r.trace, r.sloUs)) {
+            in.anomalous.push_back(r.trace);
+            in.slos.push_back(r.sloUs);
+        } else if (!normal_file) {
+            profile(r.trace);
+        }
+    }
+    in.profile.finalize();
+    if (skipped > 0)
+        util::warn("normal profile: skipped ", skipped,
+                   " malformed trace(s)");
+    return in;
+}
+
 void
 saveRecords(const std::string &path,
             const std::vector<TraceRecord> &records)
@@ -344,43 +391,24 @@ cmdAnalyze(const Args &args)
 
     std::vector<TraceRecord> records =
         loadRecords(args.get("traces"));
-    core::NormalProfile profile;
-    if (args.has("normal")) {
-        for (const TraceRecord &r :
-             loadRecords(args.get("normal")))
-            profile.add(r.trace);
-    } else {
-        // Fall back to profiling the non-violating input traces.
-        for (const TraceRecord &r : records)
-            if (!core::SloDetector::isAnomalous(r.trace, r.sloUs))
-                profile.add(r.trace);
-    }
-    profile.finalize();
+    AnalysisInput in = loadAnalysisInput(args, records);
 
     // Per-trace RCA through the pipeline's clustering-off path: the
     // verdicts match a direct CounterfactualRca loop exactly, but the
     // batch fans out over --threads workers and malformed traces
     // degrade to per-trace error verdicts instead of killing the run.
-    std::vector<trace::Trace> anomalous;
-    std::vector<int64_t> slos;
-    for (const TraceRecord &r : records) {
-        if (!core::SloDetector::isAnomalous(r.trace, r.sloUs))
-            continue;
-        anomalous.push_back(r.trace);
-        slos.push_back(r.sloUs);
-    }
     core::PipelineConfig cfg;
     cfg.clustering = false;
     cfg.numThreads = threads;
-    core::SleuthPipeline pipeline(model, encoder, profile, cfg);
-    core::PipelineResult res = pipeline.analyze(anomalous, slos);
-    for (size_t i = 0; i < anomalous.size(); ++i) {
+    core::SleuthPipeline pipeline(model, encoder, in.profile, cfg);
+    core::PipelineResult res = pipeline.analyze(in.anomalous, in.slos);
+    for (size_t i = 0; i < in.anomalous.size(); ++i) {
         const core::RcaResult &verdict = res.perTrace[i];
         std::printf("%s (%lld us / SLO %lld us): ",
-                    anomalous[i].traceId.c_str(),
+                    in.anomalous[i].traceId.c_str(),
                     static_cast<long long>(
-                        anomalous[i].rootDurationUs()),
-                    static_cast<long long>(slos[i]));
+                        in.anomalous[i].rootDurationUs()),
+                    static_cast<long long>(in.slos[i]));
         if (!verdict.error.empty()) {
             std::printf("(skipped: %s)\n", verdict.error.c_str());
             continue;
@@ -392,7 +420,7 @@ cmdAnalyze(const Args &args)
     }
     std::printf("analyzed %zu anomalous traces of %zu"
                 " (%zu skipped as malformed)\n",
-                anomalous.size() - res.skippedTraces, records.size(),
+                in.anomalous.size() - res.skippedTraces, records.size(),
                 res.skippedTraces);
     return 0;
 }
@@ -475,29 +503,11 @@ cmdMetrics(const Args &args)
         core::SleuthGnn model =
             core::SleuthGnn::fromJson(parseFile(args.get("model")));
         core::FeatureEncoder encoder(model.config().embedDim);
-        core::NormalProfile profile;
-        if (args.has("normal")) {
-            for (const TraceRecord &r :
-                 loadRecords(args.get("normal")))
-                profile.add(r.trace);
-        } else {
-            for (const TraceRecord &r : records)
-                if (!core::SloDetector::isAnomalous(r.trace, r.sloUs))
-                    profile.add(r.trace);
-        }
-        profile.finalize();
-        std::vector<trace::Trace> anomalous;
-        std::vector<int64_t> slos;
-        for (const TraceRecord &r : records) {
-            if (!core::SloDetector::isAnomalous(r.trace, r.sloUs))
-                continue;
-            anomalous.push_back(r.trace);
-            slos.push_back(r.sloUs);
-        }
+        AnalysisInput in = loadAnalysisInput(args, records);
         core::PipelineConfig cfg;
         cfg.numThreads = threads;
-        core::SleuthPipeline pipeline(model, encoder, profile, cfg);
-        pipeline.analyze(anomalous, slos);
+        core::SleuthPipeline pipeline(model, encoder, in.profile, cfg);
+        pipeline.analyze(in.anomalous, in.slos);
     }
 
     std::string text = obs::renderText();
