@@ -168,7 +168,8 @@ hitRate(const core::PipelineResult &res,
  * Accuracy floor per application tier, calibrated at roughly half the
  * minimum hit rate observed over 1000+ randomized easy scenarios. The
  * floors catch collapses (a model that stopped locating anything), not
- * regressions of a few points — those are the perf suite's job. The
+ * regressions of a few points — those are for the benchmark's gated
+ * rca_top3_hit_rate (sleuthbench/). The
  * 12-RPC tier gets no floor (negative): apps that small cannot be
  * trained reliably with campaign-sized budgets, so it exercises the
  * metamorphic and robustness invariants only.
@@ -1576,9 +1577,8 @@ checkOnlineSoak(const ScenarioRun &run, const CheckContext &)
     // the backlog fully drains at each quiet horizon (the ring never
     // wedges), the store never exceeds its span budget (eviction, not
     // growth, is the steady-state mechanism), and the accounting
-    // ledger balances at the end. This is the campaign-sized mirror
-    // of `online_suite --soak`, which additionally samples RSS; here
-    // the bounded-memory proxies are exact span counts.
+    // ledger balances at the end. The bounded-memory proxies are
+    // exact span counts, not resident memory.
     online::OnlineConfig cfg;
     cfg.pipeline = run.scenario.pipelineConfig();
     cfg.detector.bucketUs = 1'000'000;

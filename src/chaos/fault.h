@@ -105,8 +105,8 @@ FaultPlan planFixedFaults(const std::vector<Instance> &instances,
 /**
  * A timed chaos schedule: phases of fault activity over event time,
  * e.g. healthy → faulty → healthy. Drives the online serving layer's
- * live load (sleuth_serviced, BENCH_online) where storms must start
- * and stop mid-run.
+ * live load (sleuth_serviced, online tests and campaign invariants)
+ * where storms must start and stop mid-run.
  */
 struct FaultPhase
 {

@@ -152,42 +152,115 @@ zipkinKind(const std::string &kind)
 bool
 errorTag(const util::Json &tags)
 {
-    if (tags.type() != util::Json::Type::Object)
+    const util::Json *e = tags.find("error");
+    if (e == nullptr)
         return false;
-    if (!tags.has("error"))
+    if (e->type() == util::Json::Type::Bool)
+        return e->asBool();
+    if (e->type() == util::Json::Type::String)
+        return !e->asString().empty() && e->asString() != "false";
+    return true;
+}
+
+/**
+ * The decoders' failure exit: report `why` through *error, or die
+ * when the caller passed none.
+ */
+std::vector<trace::Trace>
+reject(const std::string &why, std::string *error)
+{
+    if (error == nullptr)
+        util::fatal("collector: ", why);
+    *error = why;
+    return {};
+}
+
+/**
+ * One Jaeger span, its defects reported relative to the span. The
+ * element paths of references and tags are built only for a defect.
+ */
+bool
+jaegerSpan(const util::Json &j, trace::Span *s, std::string *pid,
+           std::string *why)
+{
+    const util::Json::Array *refs = nullptr;
+    const util::Json::Array *tags = nullptr;
+    int64_t duration = 0;
+    if (!util::getString(j, "", "spanID", &s->spanId, why) ||
+        !util::getOptionalArray(j, "", "references", &refs, why) ||
+        !util::getString(j, "", "operationName", &s->name, why) ||
+        !util::getInt(j, "", "startTime", &s->startUs, why) ||
+        !util::getInt(j, "", "duration", &duration, why) ||
+        !util::getString(j, "", "processID", pid, why) ||
+        !util::getOptionalArray(j, "", "tags", &tags, why))
         return false;
-    const util::Json &e = tags.at("error");
-    if (e.type() == util::Json::Type::Bool)
-        return e.asBool();
-    if (e.type() == util::Json::Type::String)
-        return !e.asString().empty() && e.asString() != "false";
+    s->endUs = s->startUs + duration;
+    for (size_t r = 0; refs != nullptr && r < refs->size(); ++r) {
+        std::string type;
+        if (!util::getString((*refs)[r], "", "refType", &type, why) ||
+            (type == "CHILD_OF" &&
+             !util::getString((*refs)[r], "", "spanID", &s->parentSpanId,
+                              why))) {
+            *why = util::underPath(
+                "references[" + std::to_string(r) + ']', *why);
+            return false;
+        }
+    }
+    s->kind = trace::SpanKind::Server;
+    s->status = trace::StatusCode::Ok;
+    for (size_t g = 0; tags != nullptr && g < tags->size(); ++g) {
+        std::string key;
+        std::string kind;
+        if (!util::getString((*tags)[g], "", "key", &key, why) ||
+            (key == "span.kind" &&
+             !util::getString((*tags)[g], "", "value", &kind, why))) {
+            *why = util::underPath("tags[" + std::to_string(g) + ']', *why);
+            return false;
+        }
+        if (key == "span.kind")
+            s->kind = zipkinKind(kind);
+        if (key == "error")
+            s->status = trace::StatusCode::Error;
+    }
     return true;
 }
 
 } // namespace
 
 std::vector<trace::Trace>
-parseZipkin(const util::Json &doc)
+parseZipkin(const util::Json &doc, std::string *error)
 {
+    if (doc.type() != util::Json::Type::Array)
+        return reject("document: expected an array", error);
+    const util::Json::Array &spans = doc.asArray();
     std::map<std::string, trace::Trace> by_trace;
-    for (const util::Json &j : doc.asArray()) {
+    std::string why;
+    for (size_t i = 0; i < spans.size(); ++i) {
+        const util::Json &j = spans[i];
         trace::Span s;
-        std::string trace_id = j.at("traceId").asString();
-        s.spanId = j.at("id").asString();
-        if (j.has("parentId"))
-            s.parentSpanId = j.at("parentId").asString();
-        s.name = j.has("name") ? j.at("name").asString() : "";
-        s.kind = j.has("kind") ? zipkinKind(j.at("kind").asString())
-                               : trace::SpanKind::Local;
-        s.startUs = j.at("timestamp").asInt();
-        s.endUs = s.startUs + j.at("duration").asInt();
-        if (j.has("localEndpoint") &&
-            j.at("localEndpoint").has("serviceName"))
-            s.service =
-                j.at("localEndpoint").at("serviceName").asString();
-        bool err = j.has("tags") && errorTag(j.at("tags"));
-        s.status =
-            err ? trace::StatusCode::Error : trace::StatusCode::Ok;
+        std::string trace_id;
+        std::string kind;
+        int64_t duration = 0;
+        const util::Json *ep = j.find("localEndpoint");
+        if (!util::getString(j, "", "traceId", &trace_id, &why) ||
+            !util::getString(j, "", "id", &s.spanId, &why) ||
+            !util::getOptionalString(j, "", "parentId", &s.parentSpanId,
+                                     &why) ||
+            !util::getOptionalString(j, "", "name", &s.name, &why) ||
+            !util::getOptionalString(j, "", "kind", &kind, &why) ||
+            !util::getInt(j, "", "timestamp", &s.startUs, &why) ||
+            !util::getInt(j, "", "duration", &duration, &why) ||
+            (ep != nullptr && ep->has("serviceName") &&
+             !util::getString(*ep, "localEndpoint", "serviceName",
+                              &s.service, &why)))
+            return reject(
+                util::underPath('[' + std::to_string(i) + ']', why), error);
+        s.kind = kind.empty() ? trace::SpanKind::Local : zipkinKind(kind);
+        s.endUs = s.startUs + duration;
+        const util::Json *tags = j.find("tags");
+        s.status = tags != nullptr && errorTag(*tags)
+                       ? trace::StatusCode::Error
+                       : trace::StatusCode::Ok;
         trace::Trace &t = by_trace[trace_id];
         t.traceId = trace_id;
         t.spans.push_back(std::move(s));
@@ -202,53 +275,50 @@ parseZipkin(const util::Json &doc)
 }
 
 std::vector<trace::Trace>
-parseJaeger(const util::Json &doc)
+parseJaeger(const util::Json &doc, std::string *error)
 {
     std::vector<trace::Trace> out;
-    for (const util::Json &entry : doc.at("data").asArray()) {
+    std::string why;
+    const util::Json::Array *data = nullptr;
+    if (!util::getArray(doc, "", "data", &data, &why))
+        return reject(why, error);
+    for (size_t k = 0; k < data->size(); ++k) {
+        const util::Json &entry = (*data)[k];
         trace::Trace t;
-        t.traceId = entry.at("traceID").asString();
-        const util::Json &processes = entry.at("processes");
-        for (const util::Json &j : entry.at("spans").asArray()) {
+        const util::Json *processes = nullptr;
+        const util::Json::Array *spans = nullptr;
+        bool ok = util::getString(entry, "", "traceID", &t.traceId, &why) &&
+                  util::getField(entry, "", "processes", &processes, &why) &&
+                  util::getArray(entry, "", "spans", &spans, &why);
+        for (size_t i = 0; ok && i < spans->size(); ++i) {
             trace::Span s;
-            s.spanId = j.at("spanID").asString();
-            if (j.has("references")) {
-                for (const util::Json &r :
-                     j.at("references").asArray()) {
-                    if (r.at("refType").asString() == "CHILD_OF")
-                        s.parentSpanId = r.at("spanID").asString();
-                }
+            std::string pid;
+            if (!jaegerSpan((*spans)[i], &s, &pid, &why)) {
+                why = util::underPath("spans[" + std::to_string(i) + ']', why);
+                ok = false;
+            } else if (const util::Json *proc = processes->find(pid);
+                       proc != nullptr &&
+                       !util::getString(*proc, "", "serviceName",
+                                        &s.service, &why)) {
+                why = util::underPath("processes." + pid, why);
+                ok = false;
+            } else {
+                t.spans.push_back(std::move(s));
             }
-            s.name = j.at("operationName").asString();
-            s.startUs = j.at("startTime").asInt();
-            s.endUs = s.startUs + j.at("duration").asInt();
-            std::string pid = j.at("processID").asString();
-            if (processes.has(pid))
-                s.service =
-                    processes.at(pid).at("serviceName").asString();
-            s.kind = trace::SpanKind::Server;
-            s.status = trace::StatusCode::Ok;
-            if (j.has("tags")) {
-                for (const util::Json &tag : j.at("tags").asArray()) {
-                    std::string key = tag.at("key").asString();
-                    if (key == "span.kind")
-                        s.kind = zipkinKind(
-                            tag.at("value").asString());
-                    if (key == "error")
-                        s.status = trace::StatusCode::Error;
-                }
-            }
-            t.spans.push_back(std::move(s));
         }
+        if (!ok)
+            return reject(
+                util::underPath("data[" + std::to_string(k) + ']', why),
+                error);
         out.push_back(std::move(t));
     }
     return out;
 }
 
 std::vector<trace::Trace>
-parseOtel(const util::Json &doc)
+parseOtel(const util::Json &doc, std::string *error)
 {
-    return trace::tracesFromJson(doc);
+    return trace::tracesFromJson(doc, error);
 }
 
 TraceCollector::TraceCollector(storage::TraceStore *store)
@@ -263,25 +333,28 @@ TraceCollector::ingest(const std::string &payload, Protocol protocol,
 {
     std::string error;
     util::Json doc = util::Json::parse(payload, &error);
+    std::vector<trace::Trace> traces;
+    if (error.empty()) {
+        switch (protocol) {
+          case Protocol::Otel:
+            traces = parseOtel(doc, &error);
+            break;
+          case Protocol::Zipkin:
+            traces = parseZipkin(doc, &error);
+            break;
+          case Protocol::Jaeger:
+            traces = parseJaeger(doc, &error);
+            break;
+        }
+    }
     if (!error.empty()) {
         util::warn("collector: rejecting ", toString(protocol),
                    " payload: ", error);
         ++stats_.tracesRejected;
-        // Span count unknown for an unparsable payload: count one unit.
+        // Span count unknown for an unparsable (or schema-breaking)
+        // payload: count one unit.
         stats_.countDrop(DropReason::Malformed, 1);
         return 0;
-    }
-    std::vector<trace::Trace> traces;
-    switch (protocol) {
-      case Protocol::Otel:
-        traces = parseOtel(doc);
-        break;
-      case Protocol::Zipkin:
-        traces = parseZipkin(doc);
-        break;
-      case Protocol::Jaeger:
-        traces = parseJaeger(doc);
-        break;
     }
     size_t accepted = 0;
     for (trace::Trace &t : traces) {

@@ -25,6 +25,13 @@ enum class Protocol { Otel, Zipkin, Jaeger };
 /** Render a protocol name. */
 const char *toString(Protocol p);
 
+/*
+ * The protocol decoders. A schema defect (a missing or mistyped field,
+ * a time that is fractional or beyond 2^53 us) yields no traces and
+ * sets *error to its path, e.g. "[0].traceId: missing field"; without
+ * an error pointer it is fatal().
+ */
+
 /**
  * Parse a Zipkin v2 JSON span array. Spans of multiple traces may be
  * interleaved; they are grouped by traceId. Recognized fields:
@@ -32,7 +39,8 @@ const char *toString(Protocol p);
  * timestamp + duration (microseconds), localEndpoint.serviceName, and
  * tags.error for the status.
  */
-std::vector<trace::Trace> parseZipkin(const util::Json &doc);
+std::vector<trace::Trace> parseZipkin(const util::Json &doc,
+                                      std::string *error = nullptr);
 
 /**
  * Parse a Jaeger JSON export ({"data": [{traceID, spans, processes}]}).
@@ -40,13 +48,15 @@ std::vector<trace::Trace> parseZipkin(const util::Json &doc);
  * startTime + duration (microseconds), processID -> processes[pid]
  * .serviceName, and the span.kind / error tags.
  */
-std::vector<trace::Trace> parseJaeger(const util::Json &doc);
+std::vector<trace::Trace> parseJaeger(const util::Json &doc,
+                                      std::string *error = nullptr);
 
 /**
  * Parse this library's native OpenTelemetry-like format (an array of
  * trace documents as produced by trace::toJson).
  */
-std::vector<trace::Trace> parseOtel(const util::Json &doc);
+std::vector<trace::Trace> parseOtel(const util::Json &doc,
+                                    std::string *error = nullptr);
 
 /**
  * Why a span (or a whole trace worth of spans) was dropped during
@@ -125,7 +135,9 @@ class TraceCollector
     explicit TraceCollector(storage::TraceStore *store);
 
     /**
-     * Ingest one JSON payload.
+     * Ingest one JSON payload. A payload that does not parse, or
+     * breaks its protocol's schema, is rejected whole: one Malformed
+     * drop unit and a warning naming the defect.
      *
      * @param payload raw JSON text
      * @param protocol wire protocol of the payload

@@ -78,6 +78,8 @@ runLiveLoad(const synth::AppConfig &app, const sim::ClusterModel &cluster,
     const chaos::FaultPlan *active = nullptr;
     double clock = 0.0;
     double rate_per_us = config.arrivalRatePerSec / 1e6;
+    // Latest arrival-shifted span end: where the final drain starts.
+    int64_t last_event_us = 0;
     for (size_t i = 0; i < config.requests; ++i) {
         clock += rng.exponential(rate_per_us);
         int64_t arrival = static_cast<int64_t>(std::llround(clock));
@@ -95,8 +97,7 @@ runLiveLoad(const synth::AppConfig &app, const sim::ClusterModel &cluster,
         for (trace::Span &span : res.trace.spans) {
             span.startUs += arrival;
             span.endUs += arrival;
-            result.lastEventUs =
-                std::max(result.lastEventUs, span.endUs);
+            last_event_us = std::max(last_event_us, span.endUs);
             // A span is reported when it finishes, plus network jitter.
             int64_t jit = config.jitterUs > 0
                               ? delivery_rng.uniformInt(0, config.jitterUs)
@@ -155,7 +156,7 @@ runLiveLoad(const synth::AppConfig &app, const sim::ClusterModel &cluster,
         next_poll += config.pollIntervalUs;
     }
     // Drain: advance far enough that every quiet horizon passes.
-    int64_t drain_us = result.lastEventUs + config.jitterUs +
+    int64_t drain_us = last_event_us + config.jitterUs +
                        config.pollIntervalUs;
     service->drainAll(drain_us);
     if (config.onPoll)

@@ -69,8 +69,6 @@ struct LiveRunResult
     double ingestWallMillis = 0.0;
     /** Delivery throughput over the loop. */
     double spansPerSec = 0.0;
-    /** Latest event time generated (arrival-shifted span end). */
-    int64_t lastEventUs = 0;
     /**
      * Per analyzed incident: storm-onset watermark minus the
      * event-time storm onset — the earliest anomalous root span start

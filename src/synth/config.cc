@@ -194,103 +194,8 @@ kernelToJson(const KernelConfig &k)
     return j;
 }
 
-// Checked JSON access for tryAppFromJson: every getter verifies
-// presence and kind, and on failure records a message naming the
-// offending field path (e.g. "rpcs[3].startKernel.resource").
-
-std::string
-joinPath(const std::string &path, const char *key)
-{
-    return path.empty() ? std::string(key) : path + "." + key;
-}
-
-bool
-getField(const util::Json &obj, const std::string &path, const char *key,
-         const util::Json **out, std::string *error)
-{
-    if (obj.type() != util::Json::Type::Object) {
-        *error = (path.empty() ? std::string("document") : path) +
-                 ": expected an object";
-        return false;
-    }
-    if (!obj.has(key)) {
-        *error = joinPath(path, key) + ": missing field";
-        return false;
-    }
-    *out = &obj.at(key);
-    return true;
-}
-
-bool
-getString(const util::Json &obj, const std::string &path, const char *key,
-          std::string *out, std::string *error)
-{
-    const util::Json *f;
-    if (!getField(obj, path, key, &f, error))
-        return false;
-    if (f->type() != util::Json::Type::String) {
-        *error = joinPath(path, key) + ": expected a string";
-        return false;
-    }
-    *out = f->asString();
-    return true;
-}
-
-bool
-getNumber(const util::Json &obj, const std::string &path, const char *key,
-          double *out, std::string *error)
-{
-    const util::Json *f;
-    if (!getField(obj, path, key, &f, error))
-        return false;
-    if (f->type() != util::Json::Type::Number) {
-        *error = joinPath(path, key) + ": expected a number";
-        return false;
-    }
-    *out = f->asNumber();
-    return true;
-}
-
-bool
-getInt(const util::Json &obj, const std::string &path, const char *key,
-       int64_t *out, std::string *error)
-{
-    double v;
-    if (!getNumber(obj, path, key, &v, error))
-        return false;
-    *out = static_cast<int64_t>(v);
-    return true;
-}
-
-bool
-getBool(const util::Json &obj, const std::string &path, const char *key,
-        bool *out, std::string *error)
-{
-    const util::Json *f;
-    if (!getField(obj, path, key, &f, error))
-        return false;
-    if (f->type() != util::Json::Type::Bool) {
-        *error = joinPath(path, key) + ": expected a bool";
-        return false;
-    }
-    *out = f->asBool();
-    return true;
-}
-
-bool
-getArray(const util::Json &obj, const std::string &path, const char *key,
-         const util::Json::Array **out, std::string *error)
-{
-    const util::Json *f;
-    if (!getField(obj, path, key, &f, error))
-        return false;
-    if (f->type() != util::Json::Type::Array) {
-        *error = joinPath(path, key) + ": expected an array";
-        return false;
-    }
-    *out = &f->asArray();
-    return true;
-}
+// tryAppFromJson reads every field through util's checked getters,
+// so a defect names its path (e.g. "rpcs[3].startKernel.resource").
 
 bool
 tryKernelFromJson(const util::Json &j, const std::string &path,
@@ -300,8 +205,8 @@ tryKernelFromJson(const util::Json &j, const std::string &path,
     if (!getString(j, path, "resource", &res, error))
         return false;
     if (!tryResourceFromString(res, &k->resource)) {
-        *error = joinPath(path, "resource") + ": unknown resource '" +
-                 res + "'";
+        *error = util::joinPath(path, "resource") +
+                 ": unknown resource '" + res + "'";
         return false;
     }
     return getNumber(j, path, "logMu", &k->logMu, error) &&

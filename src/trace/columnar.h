@@ -202,9 +202,9 @@ class ColumnarTrace
 };
 
 /**
- * Estimated resident bytes of a legacy row-oriented trace (SSO-aware).
- * Benchmarks report this next to ColumnarTrace::memoryBytes() as the
- * before/after `memory_bytes_per_span` comparison.
+ * Estimated resident bytes of a legacy row-oriented trace (SSO-aware):
+ * the reference ColumnarTrace::memoryBytes() must stay below
+ * (ColumnarTrace.ColumnarBeatsLegacyMemoryEstimate).
  */
 size_t approxTraceMemoryBytes(const Trace &t);
 

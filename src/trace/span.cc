@@ -28,32 +28,29 @@ toString(StatusCode code)
     util::panic("invalid status code");
 }
 
-SpanKind
-spanKindFromString(const std::string &s)
+bool
+trySpanKindFromString(const std::string &s, SpanKind *out)
 {
-    if (s == "client")
-        return SpanKind::Client;
-    if (s == "server")
-        return SpanKind::Server;
-    if (s == "producer")
-        return SpanKind::Producer;
-    if (s == "consumer")
-        return SpanKind::Consumer;
-    if (s == "local")
-        return SpanKind::Local;
-    util::fatal("unknown span kind '", s, "'");
+    for (SpanKind k : {SpanKind::Client, SpanKind::Server,
+                       SpanKind::Producer, SpanKind::Consumer,
+                       SpanKind::Local})
+        if (s == toString(k)) {
+            *out = k;
+            return true;
+        }
+    return false;
 }
 
-StatusCode
-statusCodeFromString(const std::string &s)
+bool
+tryStatusCodeFromString(const std::string &s, StatusCode *out)
 {
-    if (s == "unset")
-        return StatusCode::Unset;
-    if (s == "ok")
-        return StatusCode::Ok;
-    if (s == "error")
-        return StatusCode::Error;
-    util::fatal("unknown status code '", s, "'");
+    for (StatusCode c :
+         {StatusCode::Unset, StatusCode::Ok, StatusCode::Error})
+        if (s == toString(c)) {
+            *out = c;
+            return true;
+        }
+    return false;
 }
 
 } // namespace sleuth::trace

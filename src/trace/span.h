@@ -38,11 +38,11 @@ const char *toString(SpanKind kind);
 /** Render a status code as its OpenTelemetry string. */
 const char *toString(StatusCode code);
 
-/** Parse a span kind string; fatal() on unknown input. */
-SpanKind spanKindFromString(const std::string &s);
+/** Parse a span kind string; false on unknown input. */
+bool trySpanKindFromString(const std::string &s, SpanKind *out);
 
-/** Parse a status code string; fatal() on unknown input. */
-StatusCode statusCodeFromString(const std::string &s);
+/** Parse a status code string; false on unknown input. */
+bool tryStatusCodeFromString(const std::string &s, StatusCode *out);
 
 /** One operation within a trace. */
 struct Span

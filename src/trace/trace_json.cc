@@ -1,5 +1,7 @@
 #include "trace_json.h"
 
+#include "util/logging.h"
+
 namespace sleuth::trace {
 
 util::Json
@@ -27,27 +29,58 @@ toJson(const Trace &trace)
     return doc;
 }
 
+namespace {
+
+/** A decoder's failure exit: report through *error, or die. */
 Trace
-traceFromJson(const util::Json &doc)
+reject(const std::string &why, std::string *error)
+{
+    if (error == nullptr)
+        util::fatal("trace json: ", why);
+    *error = why;
+    return {};
+}
+
+} // namespace
+
+Trace
+traceFromJson(const util::Json &doc, std::string *error)
 {
     Trace t;
-    t.traceId = doc.at("traceId").asString();
-    for (const util::Json &j : doc.at("spans").asArray()) {
+    std::string why;
+    const util::Json::Array *spans = nullptr;
+    if (!util::getString(doc, "", "traceId", &t.traceId, &why) ||
+        !util::getArray(doc, "", "spans", &spans, &why))
+        return reject(why, error);
+    t.spans.reserve(spans->size());
+    for (size_t i = 0; i < spans->size(); ++i) {
+        const util::Json &j = (*spans)[i];
         Span s;
-        s.spanId = j.at("spanId").asString();
-        s.parentSpanId = j.at("parentSpanId").asString();
-        s.service = j.at("service").asString();
-        s.name = j.at("name").asString();
-        s.kind = spanKindFromString(j.at("kind").asString());
-        s.startUs = j.at("startUs").asInt();
-        s.endUs = j.at("endUs").asInt();
-        s.status = statusCodeFromString(j.at("status").asString());
-        if (j.has("container"))
-            s.container = j.at("container").asString();
-        if (j.has("pod"))
-            s.pod = j.at("pod").asString();
-        if (j.has("node"))
-            s.node = j.at("node").asString();
+        std::string kind;
+        std::string status;
+        bool ok =
+            util::getString(j, "", "spanId", &s.spanId, &why) &&
+            util::getString(j, "", "parentSpanId", &s.parentSpanId, &why) &&
+            util::getString(j, "", "service", &s.service, &why) &&
+            util::getString(j, "", "name", &s.name, &why) &&
+            util::getString(j, "", "kind", &kind, &why) &&
+            util::getInt(j, "", "startUs", &s.startUs, &why) &&
+            util::getInt(j, "", "endUs", &s.endUs, &why) &&
+            util::getString(j, "", "status", &status, &why) &&
+            util::getOptionalString(j, "", "container", &s.container, &why) &&
+            util::getOptionalString(j, "", "pod", &s.pod, &why) &&
+            util::getOptionalString(j, "", "node", &s.node, &why);
+        if (ok && !trySpanKindFromString(kind, &s.kind)) {
+            why = "kind: unknown span kind '" + kind + "'";
+            ok = false;
+        } else if (ok && !tryStatusCodeFromString(status, &s.status)) {
+            why = "status: unknown status code '" + status + "'";
+            ok = false;
+        }
+        if (!ok)
+            return reject(
+                util::underPath("spans[" + std::to_string(i) + ']', why),
+                error);
         t.spans.push_back(std::move(s));
     }
     return t;
@@ -63,11 +96,23 @@ toJson(const std::vector<Trace> &traces)
 }
 
 std::vector<Trace>
-tracesFromJson(const util::Json &doc)
+tracesFromJson(const util::Json &doc, std::string *error)
 {
-    std::vector<Trace> out;
-    for (const util::Json &j : doc.asArray())
-        out.push_back(traceFromJson(j));
+    if (doc.type() != util::Json::Type::Array) {
+        reject("document: expected an array", error);
+        return {};
+    }
+    const util::Json::Array &docs = doc.asArray();
+    std::vector<Trace> out(docs.size());
+    std::string why;
+    for (size_t i = 0; i < docs.size(); ++i) {
+        out[i] = traceFromJson(docs[i], &why);
+        if (!why.empty()) {
+            reject(util::underPath('[' + std::to_string(i) + ']', why),
+                   error);
+            return {};
+        }
+    }
     return out;
 }
 

@@ -21,13 +21,19 @@ namespace sleuth::trace {
 /** Serialize one trace to a JSON value. */
 util::Json toJson(const Trace &trace);
 
-/** Deserialize one trace; fatal() on malformed documents. */
-Trace traceFromJson(const util::Json &doc);
+/**
+ * Deserialize one trace. A schema defect returns an empty trace and
+ * sets *error to the defect's field path (e.g.
+ * "spans[0].kind: unknown span kind 'X'"); without an error pointer
+ * it is fatal().
+ */
+Trace traceFromJson(const util::Json &doc, std::string *error = nullptr);
 
 /** Serialize a corpus as a JSON array. */
 util::Json toJson(const std::vector<Trace> &traces);
 
-/** Deserialize a corpus from a JSON array. */
-std::vector<Trace> tracesFromJson(const util::Json &doc);
+/** Deserialize a corpus from a JSON array; defects as traceFromJson. */
+std::vector<Trace> tracesFromJson(const util::Json &doc,
+                                  std::string *error = nullptr);
 
 } // namespace sleuth::trace

@@ -73,10 +73,19 @@ Json::at(const std::string &key) const
     return it->second;
 }
 
+const Json *
+Json::find(const std::string &key) const
+{
+    if (type_ != Type::Object)
+        return nullptr;
+    auto it = obj_.find(key);
+    return it == obj_.end() ? nullptr : &it->second;
+}
+
 bool
 Json::has(const std::string &key) const
 {
-    return type_ == Type::Object && obj_.count(key) > 0;
+    return find(key) != nullptr;
 }
 
 void
@@ -519,6 +528,175 @@ Json::parse(const std::string &text, std::string *error)
     if (error)
         error->clear();
     return v;
+}
+
+std::string
+joinPath(const std::string &path, const char *key)
+{
+    return path.empty() ? std::string(key) : path + "." + key;
+}
+
+std::string
+underPath(const std::string &path, const std::string &defect)
+{
+    const std::string root = "document:";
+    if (defect.compare(0, root.size(), root) == 0)
+        return path + defect.substr(root.size() - 1);
+    return path + (defect[0] == '[' ? "" : ".") + defect;
+}
+
+namespace {
+
+/**
+ * obj[key] for the checked getters, of kind `type` (Null: any kind).
+ * *out is nullptr when a key that is not `required` is absent.
+ */
+bool
+member(const Json &obj, const std::string &path, const char *key,
+       bool required, Json::Type type, const Json **out,
+       std::string *error)
+{
+    // Indexed by Json::Type.
+    static const char *const kKinds[] = {"null",     "a bool",
+                                         "a number", "a string",
+                                         "an array", "an object"};
+    if (obj.type() != Json::Type::Object) {
+        *error = (path.empty() ? std::string("document") : path) +
+                 ": expected an object";
+        return false;
+    }
+    *out = obj.find(key);
+    if (*out == nullptr && required)
+        *error = joinPath(path, key) + ": missing field";
+    else if (*out != nullptr && type != Json::Type::Null &&
+             (*out)->type() != type)
+        *error = joinPath(path, key) + ": expected " +
+                 kKinds[static_cast<int>(type)];
+    else
+        return true;
+    return false;
+}
+
+bool
+readString(const Json &obj, const std::string &path, const char *key,
+           bool required, std::string *out, std::string *error)
+{
+    const Json *f = nullptr;
+    if (!member(obj, path, key, required, Json::Type::String, &f, error))
+        return false;
+    if (f != nullptr)
+        *out = f->asString();
+    return true;
+}
+
+bool
+readInt(const Json &obj, const std::string &path, const char *key,
+        bool required, int64_t *out, std::string *error)
+{
+    const Json *f = nullptr;
+    if (!member(obj, path, key, required, Json::Type::Number, &f, error))
+        return false;
+    if (f == nullptr)
+        return true;
+    // Integers up to 2^53 are exact in a double; past that, and for
+    // fractions, a cast to int64 would guess (or be undefined).
+    double v = f->asNumber();
+    if (v != std::floor(v)) {
+        *error = joinPath(path, key) + ": expected an integer";
+        return false;
+    }
+    if (std::fabs(v) > 9007199254740992.0) {
+        *error = joinPath(path, key) + ": integer out of range";
+        return false;
+    }
+    *out = static_cast<int64_t>(v);
+    return true;
+}
+
+bool
+readArray(const Json &obj, const std::string &path, const char *key,
+          bool required, const Json::Array **out, std::string *error)
+{
+    const Json *f = nullptr;
+    if (!member(obj, path, key, required, Json::Type::Array, &f, error))
+        return false;
+    if (f != nullptr)
+        *out = &f->asArray();
+    return true;
+}
+
+} // namespace
+
+bool
+getField(const Json &obj, const std::string &path, const char *key,
+         const Json **out, std::string *error)
+{
+    return member(obj, path, key, true, Json::Type::Null, out, error);
+}
+
+bool
+getString(const Json &obj, const std::string &path, const char *key,
+          std::string *out, std::string *error)
+{
+    return readString(obj, path, key, true, out, error);
+}
+
+bool
+getOptionalString(const Json &obj, const std::string &path,
+                  const char *key, std::string *out, std::string *error)
+{
+    return readString(obj, path, key, false, out, error);
+}
+
+bool
+getNumber(const Json &obj, const std::string &path, const char *key,
+          double *out, std::string *error)
+{
+    const Json *f = nullptr;
+    if (!member(obj, path, key, true, Json::Type::Number, &f, error))
+        return false;
+    *out = f->asNumber();
+    return true;
+}
+
+bool
+getInt(const Json &obj, const std::string &path, const char *key,
+       int64_t *out, std::string *error)
+{
+    return readInt(obj, path, key, true, out, error);
+}
+
+bool
+getOptionalInt(const Json &obj, const std::string &path, const char *key,
+               int64_t *out, std::string *error)
+{
+    return readInt(obj, path, key, false, out, error);
+}
+
+bool
+getBool(const Json &obj, const std::string &path, const char *key,
+        bool *out, std::string *error)
+{
+    const Json *f = nullptr;
+    if (!member(obj, path, key, true, Json::Type::Bool, &f, error))
+        return false;
+    *out = f->asBool();
+    return true;
+}
+
+bool
+getArray(const Json &obj, const std::string &path, const char *key,
+         const Json::Array **out, std::string *error)
+{
+    return readArray(obj, path, key, true, out, error);
+}
+
+bool
+getOptionalArray(const Json &obj, const std::string &path,
+                 const char *key, const Json::Array **out,
+                 std::string *error)
+{
+    return readArray(obj, path, key, false, out, error);
 }
 
 } // namespace sleuth::util

@@ -77,6 +77,8 @@ class Json
 
     /** Object member access (asserts when missing). */
     const Json &at(const std::string &key) const;
+    /** Object member, or nullptr when absent or this is no object. */
+    const Json *find(const std::string &key) const;
     /** True when this is an object containing the key. */
     bool has(const std::string &key) const;
     /** Insert or replace an object member. */
@@ -111,5 +113,45 @@ class Json
     Array arr_;
     Object obj_;
 };
+
+/**
+ * @name Checked field access
+ * For decoding untrusted documents without the aborting at()/as*().
+ * Each getter reads member `key` of `obj`, whose own path is `path`
+ * ("" at the root), and checks its kind. A defect returns false and
+ * sets *error (required) to the path and problem, e.g.
+ * "rpcs[3].startKernel.resource: missing field". The getOptional*
+ * forms accept an absent key and leave *out unchanged.
+ */
+///@{
+/** `path.key`, or `key` alone at the document root. */
+std::string joinPath(const std::string &path, const char *key);
+/**
+ * A defect read with path "" restated under the element's `path`, so
+ * decoders build an element's path only to report a defect.
+ */
+std::string underPath(const std::string &path, const std::string &defect);
+bool getField(const Json &obj, const std::string &path, const char *key,
+              const Json **out, std::string *error);
+bool getString(const Json &obj, const std::string &path, const char *key,
+               std::string *out, std::string *error);
+bool getOptionalString(const Json &obj, const std::string &path,
+                       const char *key, std::string *out,
+                       std::string *error);
+bool getNumber(const Json &obj, const std::string &path, const char *key,
+               double *out, std::string *error);
+/** An integral number of magnitude at most 2^53 (exact as a double). */
+bool getInt(const Json &obj, const std::string &path, const char *key,
+            int64_t *out, std::string *error);
+bool getOptionalInt(const Json &obj, const std::string &path,
+                    const char *key, int64_t *out, std::string *error);
+bool getBool(const Json &obj, const std::string &path, const char *key,
+             bool *out, std::string *error);
+bool getArray(const Json &obj, const std::string &path, const char *key,
+              const Json::Array **out, std::string *error);
+bool getOptionalArray(const Json &obj, const std::string &path,
+                      const char *key, const Json::Array **out,
+                      std::string *error);
+///@}
 
 } // namespace sleuth::util

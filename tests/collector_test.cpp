@@ -152,6 +152,43 @@ TEST(TraceCollector, RejectsMalformedJson)
     EXPECT_EQ(collector.ingest("{not json", Protocol::Zipkin), 0u);
     EXPECT_EQ(collector.stats().tracesRejected, 1u);
     EXPECT_EQ(store.size(), 0u);
+
+    // Valid JSON that breaks the protocol's schema is rejected the
+    // same way: one Malformed unit per payload, nothing stored. These
+    // used to abort, overflow int64 (9e18) or store garbage (1e300).
+    const std::pair<Protocol, const char *> schema_breakers[] = {
+        {Protocol::Zipkin, R"([{"id":"a","timestamp":1,"duration":2}])"},
+        {Protocol::Zipkin,
+         R"([{"traceId":"t","id":"a","timestamp":"x","duration":2}])"},
+        {Protocol::Zipkin,
+         R"([{"traceId":"t","id":"a","timestamp":9e18,"duration":9e18}])"},
+        {Protocol::Zipkin,
+         R"([{"traceId":"t","id":"a","timestamp":1e300,"duration":1}])"},
+        {Protocol::Jaeger,
+         R"({"data":[{"traceID":"t","processes":{},"spans":[{"spanID":"a",
+             "operationName":"o","startTime":1,"duration":2,"processID":"p",
+             "tags":[{"key":"span.kind","value":7}]}]}]})"},
+        {Protocol::Otel, "[[]]"},
+        {Protocol::Otel, R"([{"traceId":"t","spans":[{"spanId":"a",
+             "service":"s","name":"n","kind":"server","startUs":0,
+             "endUs":5,"status":"ok"}]}])"},
+        {Protocol::Otel,
+         R"([{"traceId":"t","spans":[{"spanId":"a","parentSpanId":"",
+             "service":"s","name":"n","kind":"SERVER","startUs":0,
+             "endUs":5,"status":"ok"}]}])"},
+    };
+    size_t malformed = collector.stats().droppedMalformed;
+    for (const auto &[protocol, payload] : schema_breakers) {
+        EXPECT_EQ(collector.ingest(payload, protocol), 0u) << payload;
+        EXPECT_EQ(collector.stats().droppedMalformed, ++malformed)
+            << payload;
+        EXPECT_EQ(store.size(), 0u) << payload;
+    }
+    EXPECT_EQ(collector.stats().tracesAccepted, 0u);
+
+    // The collector keeps working after the rejections.
+    EXPECT_EQ(collector.ingest(kZipkinPayload, Protocol::Zipkin), 2u);
+    EXPECT_EQ(store.size(), 2u);
 }
 
 TEST(TraceCollector, RejectsStructurallyInvalidTraces)

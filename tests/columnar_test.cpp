@@ -1,5 +1,6 @@
 // Columnar span storage: encode/materialize round trips, root
-// metadata, and the memory accounting used by the bench suites.
+// metadata, and the memory accounting behind the store's
+// bytes-per-span figure.
 
 #include <gtest/gtest.h>
 

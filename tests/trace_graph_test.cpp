@@ -161,9 +161,22 @@ TEST(SpanEnums, RoundTripStrings)
     using namespace sleuth::trace;
     for (SpanKind k : {SpanKind::Client, SpanKind::Server,
                        SpanKind::Producer, SpanKind::Consumer,
-                       SpanKind::Local})
-        EXPECT_EQ(spanKindFromString(toString(k)), k);
+                       SpanKind::Local}) {
+        SpanKind parsed = SpanKind::Local;
+        EXPECT_TRUE(trySpanKindFromString(toString(k), &parsed));
+        EXPECT_EQ(parsed, k);
+    }
     for (StatusCode c :
-         {StatusCode::Unset, StatusCode::Ok, StatusCode::Error})
-        EXPECT_EQ(statusCodeFromString(toString(c)), c);
+         {StatusCode::Unset, StatusCode::Ok, StatusCode::Error}) {
+        StatusCode parsed = StatusCode::Unset;
+        EXPECT_TRUE(tryStatusCodeFromString(toString(c), &parsed));
+        EXPECT_EQ(parsed, c);
+    }
+    // Unknown strings are refused; "SERVER" is Zipkin's spelling.
+    SpanKind kind = SpanKind::Client;
+    EXPECT_FALSE(trySpanKindFromString("SERVER", &kind));
+    EXPECT_EQ(kind, SpanKind::Client);
+    StatusCode status = StatusCode::Ok;
+    EXPECT_FALSE(tryStatusCodeFromString("failed", &status));
+    EXPECT_EQ(status, StatusCode::Ok);
 }

@@ -200,3 +200,39 @@ TEST(Json, NestingDepthIsBounded)
     Json::parse(std::string(2'000'000, '['), &err);
     EXPECT_EQ(err, "nesting too deep at offset " + std::to_string(limit));
 }
+
+TEST(Json, CheckedGettersNameThePathAndBoundIntegers)
+{
+    using namespace sleuth::util;
+    std::string err;
+    Json doc = Json::parse(R"({"n": -9007199254740992, "half": 2.5,
+                               "big": 9007199254740994})",
+                           &err);
+    ASSERT_TRUE(err.empty()) << err;
+    int64_t v = 0;
+    EXPECT_TRUE(getInt(doc, "cfg", "n", &v, &err));
+    EXPECT_EQ(v, -9007199254740992);
+    EXPECT_FALSE(getInt(doc, "cfg", "half", &v, &err));
+    EXPECT_EQ(err, "cfg.half: expected an integer");
+    EXPECT_FALSE(getInt(doc, "cfg", "big", &v, &err));
+    EXPECT_EQ(err, "cfg.big: integer out of range");
+    EXPECT_FALSE(getInt(doc, "", "gone", &v, &err));
+    EXPECT_EQ(err, "gone: missing field");
+    // Optional forms accept absence, but check a present member.
+    EXPECT_TRUE(getOptionalInt(doc, "", "gone", &v, &err));
+    EXPECT_EQ(v, -9007199254740992);
+    std::string str = "kept";
+    EXPECT_FALSE(getOptionalString(doc, "", "n", &str, &err));
+    EXPECT_EQ(err, "n: expected a string");
+    EXPECT_EQ(str, "kept");
+    EXPECT_FALSE(getString(Json(1), "", "s", &str, &err));
+    EXPECT_EQ(err, "document: expected an object");
+    EXPECT_FALSE(getString(Json(1), "[2]", "s", &str, &err));
+    EXPECT_EQ(err, "[2]: expected an object");
+    EXPECT_EQ(underPath("[2]", "document: expected an object"),
+              "[2]: expected an object");
+    EXPECT_EQ(underPath("data", "[0].spans[1].x: missing field"),
+              "data[0].spans[1].x: missing field");
+    EXPECT_EQ(underPath("[2]", "s: expected a string"),
+              "[2].s: expected a string");
+}

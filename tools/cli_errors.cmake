@@ -81,6 +81,67 @@ if(NOT out MATCHES "nesting too deep at offset 256")
     message(FATAL_ERROR "deep-nesting error absent: ${out}")
 endif()
 
+# --- Valid JSON that breaks the trace schema (each case used to abort,
+# overflow int64 or store a garbage time). `ingest` rejects the payload
+# as one malformed unit and exits 0; `train`, `infer`, `metrics` and
+# records-format `ingest` exit 1 naming the field. ---
+
+function(expect_payload_rejected protocol payload defect)
+    file(WRITE ${WORK_DIR}/payload.json "${payload}")
+    run_expect(0 out ${SLEUTH_BIN} ingest --traces ${WORK_DIR}/payload.json
+               --protocol ${protocol})
+    if(NOT out MATCHES "rejecting ${protocol} payload: ${defect}"
+       OR NOT out MATCHES "malformed=1 ")
+        message(FATAL_ERROR
+                "${payload}: no malformed drop naming ${defect}: ${out}")
+    endif()
+endfunction()
+
+expect_payload_rejected(zipkin [=[[{"id":"a","timestamp":1,"duration":2}]]=]
+                        "\\[0\\]\\.traceId: missing field")
+expect_payload_rejected(zipkin
+    [=[[{"traceId":"t","id":"a","timestamp":"x","duration":2}]]=]
+    "\\[0\\]\\.timestamp: expected a number")
+expect_payload_rejected(zipkin
+    [=[[{"traceId":"t","id":"a","timestamp":9e18,"duration":9e18}]]=]
+    "\\[0\\]\\.timestamp: integer out of range")
+expect_payload_rejected(zipkin
+    [=[[{"traceId":"t","id":"a","timestamp":1e300,"duration":1}]]=]
+    "\\[0\\]\\.timestamp: integer out of range")
+expect_payload_rejected(jaeger
+    [=[{"data":[{"traceID":"t","processes":{},"spans":[{"spanID":"a",
+       "operationName":"o","startTime":1,"duration":2,"processID":"p",
+       "tags":[{"key":"span.kind","value":7}]}]}]}]=]
+    "data\\[0\\]\\.spans\\[0\\]\\.tags\\[0\\]\\.value: expected a string")
+expect_payload_rejected(otel [=[[[]]]=] "\\[0\\]: expected an object")
+expect_payload_rejected(otel
+    [=[[{"traceId":"t","spans":[{"spanId":"a","service":"s","name":"n",
+        "kind":"server","startUs":0,"endUs":5,"status":"ok"}]}]]=]
+    "\\[0\\]\\.spans\\[0\\]\\.parentSpanId: missing field")
+expect_payload_rejected(otel
+    [=[[{"traceId":"t","spans":[{"spanId":"a","parentSpanId":"",
+        "service":"s","name":"n","kind":"SERVER","startUs":0,"endUs":5,
+        "status":"ok"}]}]]=]
+    "\\[0\\]\\.spans\\[0\\]\\.kind: unknown span kind 'SERVER'")
+
+function(expect_traces_rejected cmd file contents defect)
+    file(WRITE ${WORK_DIR}/${file} "${contents}")
+    run_expect(1 out ${SLEUTH_BIN} ${cmd} --traces ${WORK_DIR}/${file}
+               --out ${WORK_DIR}/unused.json)
+    if(NOT out MATCHES "fatal: .*${file}: ${defect}")
+        message(FATAL_ERROR "${cmd} did not name ${defect}: ${out}")
+    endif()
+endfunction()
+foreach(cmd train infer metrics)
+    expect_traces_rejected(${cmd} object.json [=[{"a":1}]=]
+                           "document: expected an array")
+endforeach()
+foreach(cmd ingest train)
+    expect_traces_rejected(${cmd} bad-slo.json
+        [=[[{"slo":"x","trace":{"traceId":"t","spans":[]}}]]=]
+        "\\[0\\]\\.slo: expected a number")
+endforeach()
+
 # --- Config parsing: a malformed enum is a recoverable per-field
 # error naming the offending path, not an opaque abort. ---
 

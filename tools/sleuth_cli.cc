@@ -207,20 +207,31 @@ struct TraceRecord
     int64_t sloUs = 0;
 };
 
+/**
+ * Decode a --traces array of records {"slo", "trace"} or bare traces;
+ * a schema defect exits 1 naming the file and the field path.
+ */
 std::vector<TraceRecord>
 loadRecords(const std::string &path)
 {
     util::Json doc = parseFile(path);
-    std::vector<TraceRecord> out;
-    for (const util::Json &j : doc.asArray()) {
-        TraceRecord r;
-        if (j.has("trace")) {
-            r.trace = trace::traceFromJson(j.at("trace"));
-            r.sloUs = j.has("slo") ? j.at("slo").asInt() : 0;
-        } else {
-            r.trace = trace::traceFromJson(j);
+    if (doc.type() != util::Json::Type::Array)
+        util::fatal(path, ": document: expected an array");
+    const util::Json::Array &elems = doc.asArray();
+    std::vector<TraceRecord> out(elems.size());
+    std::string err;
+    for (size_t i = 0; i < elems.size(); ++i) {
+        std::string at = '[' + std::to_string(i) + ']';
+        const util::Json *trace = elems[i].find("trace");
+        if (trace == nullptr) {
+            out[i].trace = trace::traceFromJson(elems[i], &err);
+        } else if (util::getOptionalInt(elems[i], "", "slo",
+                                        &out[i].sloUs, &err)) {
+            out[i].trace = trace::traceFromJson(*trace, &err);
+            at += ".trace";
         }
-        out.push_back(std::move(r));
+        if (!err.empty())
+            util::fatal(path, ": ", util::underPath(at, err));
     }
     return out;
 }
@@ -443,21 +454,33 @@ cmdIngest(const Args &args)
     storage::TraceStore store;
     collector::TraceCollector coll(&store);
 
-    util::Json doc = parseFile(args.get("traces"));
+    std::string path = args.get("traces");
+    util::Json doc = parseFile(path);
     bool records_format = proto == collector::Protocol::Otel &&
-                          doc.asArray().size() > 0 &&
+                          doc.type() == util::Json::Type::Array &&
+                          !doc.asArray().empty() &&
                           doc.asArray()[0].has("trace");
     if (records_format) {
         // The records format carries a per-trace SLO: ingest each
         // record as its own single-trace payload so the SLO sticks.
-        for (const util::Json &j : doc.asArray()) {
+        // A trace that breaks the schema is the collector's to reject;
+        // a broken record envelope is the file's defect.
+        const util::Json::Array &elems = doc.asArray();
+        for (size_t i = 0; i < elems.size(); ++i) {
+            std::string at = '[' + std::to_string(i) + ']';
+            const util::Json *trace = nullptr;
+            int64_t record_slo = 0;
+            std::string err;
+            if (!util::getField(elems[i], at, "trace", &trace, &err) ||
+                !util::getOptionalInt(elems[i], at, "slo", &record_slo,
+                                      &err))
+                util::fatal(path, ": ", err);
             util::Json payload = util::Json::array();
-            payload.push(j.at("trace"));
-            coll.ingest(payload.dump(), proto,
-                        j.has("slo") ? j.at("slo").asInt() : 0);
+            payload.push(*trace);
+            coll.ingest(payload.dump(), proto, record_slo);
         }
     } else {
-        coll.ingest(readFile(args.get("traces")), proto, slo);
+        coll.ingest(readFile(path), proto, slo);
     }
 
     const collector::CollectorStats &s = coll.stats();
@@ -468,7 +491,7 @@ cmdIngest(const Args &args)
                            .size();
     std::printf("ingested %s (%s): %zu traces accepted (%zu spans),"
                 " %zu rejected (%zu spans)\n",
-                args.get("traces").c_str(), proto_name.c_str(),
+                path.c_str(), proto_name.c_str(),
                 s.tracesAccepted, s.spansAccepted, s.tracesRejected,
                 s.spansRejected);
     std::printf("  drops: orphan=%zu duplicate=%zu"
