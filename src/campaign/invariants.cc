@@ -975,8 +975,8 @@ checkOnlineDifferential(const ScenarioRun &run, const CheckContext &)
                                       online::ShedPolicy::Sample}) {
         online::OnlineConfig shed_cfg = cfg;
         shed_cfg.shedPolicy = policy;
-        shed_cfg.shedBudgetSpans = std::max<size_t>(
-            1, deliveries.size() * 3 / (5 * shed_cfg.ingestShards));
+        shed_cfg.shedBudgetSpans =
+            std::max<size_t>(1, deliveries.size() * 3 / 5);
         std::string name = online::toString(policy);
         InvariantResult shed_leg = runTimeline(
             0, "shed-policy " + name + ": ", shed_cfg,
@@ -1414,7 +1414,7 @@ checkDropAccounting(const ScenarioRun &run, const CheckContext &)
     // (whichever producer loses the race is dropped), but the ledger
     // must still balance and the ring-full count itself stays
     // deterministic — between barriered polls exactly `capacity`
-    // pushes per shard can succeed.
+    // pushes can succeed.
     online::OnlineConfig base;
     base.pipeline = run.scenario.pipelineConfig();
     base.detector.bucketUs = 1'000'000;
@@ -1440,7 +1440,7 @@ checkDropAccounting(const ScenarioRun &run, const CheckContext &)
             events.push_back({run.traces[i].traceId, span});
             // Every third span is delivered twice so the duplicate
             // reason participates in the ledger (and, when the budget
-            // is 1, guarantees some shard holds two spans and sheds).
+            // is 1, guarantees the batch holds two spans and sheds).
             if (events.size() % 3 == 0)
                 events.push_back(events.back());
         }
@@ -1464,8 +1464,8 @@ checkDropAccounting(const ScenarioRun &run, const CheckContext &)
         Leg leg;
         leg.cfg = base;
         leg.cfg.shedPolicy = policy;
-        leg.cfg.shedBudgetSpans = std::max<size_t>(
-            1, events.size() / (3 * leg.cfg.ingestShards));
+        leg.cfg.shedBudgetSpans =
+            std::max<size_t>(1, events.size() / 3);
         leg.name = std::string("shed-policy ") +
                    std::string(online::toString(policy));
         legs.push_back(std::move(leg));

@@ -100,7 +100,7 @@ CollectorStats::countDrop(DropReason reason, size_t spans)
     // Every ingest-path drop (batch collector, span assembler, online
     // admission control) funnels through here, so this is the one
     // place the process-wide drop taxonomy is recorded. merge() is
-    // deliberately not instrumented: it folds already-counted shards.
+    // deliberately not instrumented: it folds already-counted blocks.
     dropCounter(reason).add(spans);
     spansRejected += spans;
     switch (reason) {

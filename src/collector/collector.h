@@ -75,7 +75,7 @@ enum class DropReason {
     /** Rejected by admission control under overload. */
     Backpressure,
     /**
-     * Enqueue-side last resort: the ingest shard's bounded MPSC ring
+     * Enqueue-side last resort: the online service's bounded MPSC ring
      * was physically full (offered load within one poll interval
      * exceeded the ring capacity), so the producer dropped the span
      * on the spot.
@@ -119,7 +119,7 @@ struct CollectorStats
     /** Count `spans` spans dropped for `reason`. */
     void countDrop(DropReason reason, size_t spans);
 
-    /** Fold another stats block into this one (shard aggregation). */
+    /** Fold another stats block into this one. */
     void merge(const CollectorStats &other);
 };
 

@@ -17,16 +17,14 @@ canonicalTraceOrder(const trace::Trace &a, const trace::Trace &b)
     return a.traceId < b.traceId;
 }
 
-SpanAssembler::SpanAssembler(AssemblerConfig config)
-    : config_(config),
-      interner_(std::make_shared<trace::StringInterner>())
+SpanAssembler::SpanAssembler(AssemblerConfig config) : config_(config)
 {
     SLEUTH_ASSERT(config_.latenessUs >= 0 && config_.quietGapUs >= 0,
                   "assembler horizons must be non-negative");
 }
 
 bool
-SpanAssembler::add(const SpanEvent &event)
+SpanAssembler::add(SpanEvent event)
 {
     if (event.traceId.empty() || event.span.spanId.empty()) {
         stats_.countDrop(collector::DropReason::Malformed, 1);
@@ -53,7 +51,7 @@ SpanAssembler::add(const SpanEvent &event)
             stats_.countDrop(collector::DropReason::Backpressure, 1);
             return false;
         }
-        it = pending_.emplace(event.traceId, Pending{}).first;
+        it = pending_.emplace(std::move(event.traceId), Pending{}).first;
     }
     Pending &p = it->second;
     if (!p.spanIds.insert(event.span.spanId).second) {
@@ -61,7 +59,7 @@ SpanAssembler::add(const SpanEvent &event)
         return false;
     }
     p.lastEndUs = std::max(p.lastEndUs, event.span.endUs);
-    p.cols.append(event.span, *interner_);
+    p.spans.push_back(std::move(event.span));
     ++pending_spans_;
     ++spans_buffered_; // delta-flushed into obs by drain()
     return true;
@@ -72,23 +70,18 @@ SpanAssembler::finalize(const std::string &trace_id, Pending &p,
                         std::vector<trace::Trace> *out)
 {
     // Canonical span order: ingestion interleaving must not leak into
-    // the emitted trace. Sort a permutation over the columns, then
-    // materialize rows in that order.
-    const size_t n = p.cols.size();
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        if (p.cols.startUs(a) != p.cols.startUs(b))
-            return p.cols.startUs(a) < p.cols.startUs(b);
-        return p.cols.spanId(a) < p.cols.spanId(b);
-    });
+    // the emitted trace. Span ids are unique within a pending trace,
+    // so (startUs, spanId) is a total order.
     trace::Trace t;
     t.traceId = trace_id;
-    t.spans.reserve(n);
-    for (size_t i : order)
-        t.spans.push_back(p.cols.materialize(i, *interner_));
-    pending_spans_ -= n;
+    t.spans = std::move(p.spans);
+    std::sort(t.spans.begin(), t.spans.end(),
+              [](const trace::Span &a, const trace::Span &b) {
+                  if (a.startUs != b.startUs)
+                      return a.startUs < b.startUs;
+                  return a.spanId < b.spanId;
+              });
+    pending_spans_ -= t.spans.size();
     trace::TraceGraph graph;
     std::string why;
     static obs::Counter &accepted = obs::counter(

@@ -29,14 +29,12 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "collector/collector.h"
-#include "trace/columnar.h"
 #include "trace/trace.h"
 
 namespace sleuth::online {
@@ -49,8 +47,8 @@ struct SpanEvent
 };
 
 /**
- * The canonical trace order, (root start, traceId): assembler output,
- * merged shard batches and incident snapshots all sort by it.
+ * The canonical trace order, (root start, traceId): assembler output
+ * and incident snapshots both sort by it.
  */
 bool canonicalTraceOrder(const trace::Trace &a, const trace::Trace &b);
 
@@ -84,11 +82,12 @@ class SpanAssembler
     explicit SpanAssembler(AssemblerConfig config);
 
     /**
-     * Ingest one span. Returns true when buffered; false when dropped
-     * (duplicate within its pending trace, late after completion /
-     * eviction, structurally empty ids, or backpressure).
+     * Ingest one span, taken by value so callers can move it in.
+     * Returns true when buffered; false when dropped (duplicate within
+     * its pending trace, late after completion / eviction,
+     * structurally empty ids, or backpressure).
      */
-    bool add(const SpanEvent &event);
+    bool add(SpanEvent event);
 
     /**
      * Advance the clock to nowUs (watermark = nowUs - latenessUs) and
@@ -118,15 +117,14 @@ class SpanAssembler
     struct Pending
     {
         /**
-         * Buffered spans in columnar form: vocabulary fields interned
-         * once per assembler, span ids in a per-trace char arena. The
-         * legacy row-oriented trace is materialized only at finalize,
-         * in canonical span order.
+         * Buffered spans in arrival order; finalize sorts them into
+         * canonical span order in place and moves them into the
+         * emitted trace.
          */
-        trace::SpanColumns cols;
+        std::vector<trace::Span> spans;
         /**
          * Span ids already buffered, for O(1) duplicate rejection (a
-         * linear scan over the columns is O(n²) per trace at ingest
+         * linear scan over the spans is O(n²) per trace at ingest
          * rates of hundreds of thousands of spans per second).
          */
         std::unordered_set<std::string> spanIds;
@@ -151,8 +149,6 @@ class SpanAssembler
 
     AssemblerConfig config_;
     collector::CollectorStats stats_;
-    /** Vocabulary shared by every pending trace of this assembler. */
-    std::shared_ptr<trace::StringInterner> interner_;
     std::unordered_map<std::string, Pending> pending_;
     /** Recently completed/dropped trace ids -> close watermark. */
     std::unordered_map<std::string, int64_t> closed_;

@@ -117,10 +117,15 @@ decodeTrace(util::BinaryReader &r, trace::Trace *t)
         s.parentSpanId = r.str();
         s.service = r.str();
         s.name = r.str();
-        s.kind = static_cast<trace::SpanKind>(r.u8());
+        uint8_t kind = r.u8();
         s.startUs = r.i64();
         s.endUs = r.i64();
-        s.status = static_cast<trace::StatusCode>(r.u8());
+        uint8_t status = r.u8();
+        if (kind > static_cast<uint8_t>(trace::SpanKind::Local) ||
+            status > static_cast<uint8_t>(trace::StatusCode::Error))
+            return false;
+        s.kind = static_cast<trace::SpanKind>(kind);
+        s.status = static_cast<trace::StatusCode>(status);
         s.container = r.str();
         s.pod = r.str();
         s.node = r.str();

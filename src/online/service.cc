@@ -60,23 +60,11 @@ OnlineService::OnlineService(const core::SleuthGnn &model,
     : config_(std::move(config)),
       pipeline_(model, encoder, profile, config_.pipeline),
       cache_(config_.cacheConfig),
+      ring_(config_.ringCapacitySpans),
+      assembler_(config_.assembler),
       store_(config_.retention),
       detector_(config_.detector)
 {
-    SLEUTH_ASSERT(config_.ingestShards > 0,
-                  "at least one ingest shard is required");
-    SLEUTH_ASSERT(config_.ringCapacitySpans > 0,
-                  "ring capacity must be positive");
-    shards_.reserve(config_.ingestShards);
-    for (size_t i = 0; i < config_.ingestShards; ++i)
-        shards_.push_back(std::make_unique<Shard>(
-            config_.assembler, config_.ringCapacitySpans));
-}
-
-size_t
-OnlineService::shardIndex(uint64_t hash, size_t shard_count)
-{
-    return static_cast<size_t>(hash % shard_count);
 }
 
 EndpointProfile
@@ -95,51 +83,40 @@ OnlineService::ingest(const SpanEvent &event)
 bool
 OnlineService::ingest(SpanEvent &&event)
 {
-    // Hash once per event: the same value routes the shard, rides the
-    // ring for the sample shed policy, and (via the store) seeds the
-    // incident normal-trace sample — no re-hash on the ingest path.
-    uint64_t hash = util::fnv1a(event.traceId);
-    Shard &shard = *shards_[shardIndex(hash, shards_.size())];
-    // The hot path only bumps relaxed shard-local counters; poll()
-    // delta-flushes the sums into the obs registry (a per-span
-    // counter add costs a measurable ~2% of ingest throughput).
-    shard.spansOffered.fetch_add(1, std::memory_order_relaxed);
-    RingEntry entry{std::move(event), hash};
-    if (!shard.ring.tryPush(std::move(entry))) {
+    // The hot path only bumps relaxed counters; poll() delta-flushes
+    // the sum into the obs registry (a per-span counter add costs a
+    // measurable ~2% of ingest throughput).
+    spans_offered_.fetch_add(1, std::memory_order_relaxed);
+    if (!ring_.tryPush(std::move(event))) {
         // Physically full: last-resort enqueue-side drop. Only the
         // count is deterministic here (see file comment in service.h).
-        shard.ringFullDrops.fetch_add(1, std::memory_order_relaxed);
+        ring_full_drops_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
     return true;
 }
 
-void
-OnlineService::drainShard(Shard *shard, int64_t nowUs,
-                          std::vector<trace::Trace> *completed,
-                          size_t *pending_spans,
-                          size_t *pending_traces)
+std::vector<trace::Trace>
+OnlineService::drainRing(int64_t nowUs)
 {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->batch.clear();
-    shard->ring.drainInto(&shard->batch);
-    std::vector<RingEntry> &batch = shard->batch;
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<SpanEvent> &batch = batch_;
+    batch.clear();
+    ring_.drainInto(&batch);
 
     // The ring interleaves producer streams nondeterministically;
     // canonical event-time order (endUs, traceId, spanId) restores a
     // batch that is a pure function of the event multiset before any
     // decision is taken. Duplicate deliveries tie on every key and are
     // content-identical, so an unstable sort is still deterministic.
-    auto eventTimeOrder = [](const RingEntry &a, const RingEntry &b) {
-        const SpanEvent &x = a.event;
-        const SpanEvent &y = b.event;
-        if (x.span.endUs != y.span.endUs)
-            return x.span.endUs < y.span.endUs;
-        if (x.traceId != y.traceId)
-            return x.traceId < y.traceId;
-        return x.span.spanId < y.span.spanId;
-    };
-    std::sort(batch.begin(), batch.end(), eventTimeOrder);
+    std::sort(batch.begin(), batch.end(),
+              [](const SpanEvent &x, const SpanEvent &y) {
+                  if (x.span.endUs != y.span.endUs)
+                      return x.span.endUs < y.span.endUs;
+                  if (x.traceId != y.traceId)
+                      return x.traceId < y.traceId;
+                  return x.span.spanId < y.span.spanId;
+              });
 
     // Poll-side deterministic shedding: survivors are a pure function
     // of the (sorted) batch, never of producer interleaving.
@@ -155,28 +132,40 @@ OnlineService::drainShard(Shard *shard, int64_t nowUs,
           case ShedPolicy::DropOldest:
             begin = shed; // keep the newest events
             break;
-          case ShedPolicy::Sample:
-            // Bottom-budget by (traceHash, traceId, spanId):
+          case ShedPolicy::Sample: {
+            // Bottom-budget by (fnv1a(traceId), traceId, spanId):
             // trace-coherent (spans of one trace sort adjacently) and
-            // uniform across trace ids. Reuses the hash computed at
-            // ingest.
-            std::sort(batch.begin(), batch.end(),
-                      [](const RingEntry &a, const RingEntry &b) {
-                          if (a.traceHash != b.traceHash)
-                              return a.traceHash < b.traceHash;
-                          if (a.event.traceId != b.event.traceId)
-                              return a.event.traceId <
-                                     b.event.traceId;
-                          return a.event.span.spanId <
-                                 b.event.span.spanId;
+            // uniform across trace ids. The survivors move to the
+            // front in batch order, so the assembler feed stays in
+            // event-time order.
+            std::vector<std::pair<uint64_t, size_t>> keyed(batch.size());
+            for (size_t i = 0; i < batch.size(); ++i)
+                keyed[i] = {util::fnv1a(batch[i].traceId), i};
+            std::sort(keyed.begin(), keyed.end(),
+                      [&](const auto &a, const auto &b) {
+                          if (a.first != b.first)
+                              return a.first < b.first;
+                          const SpanEvent &x = batch[a.second];
+                          const SpanEvent &y = batch[b.second];
+                          if (x.traceId != y.traceId)
+                              return x.traceId < y.traceId;
+                          return x.span.spanId < y.span.spanId;
                       });
+            keyed.resize(budget);
+            std::sort(keyed.begin(), keyed.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.second < b.second;
+                      });
+            // keyed[k].second >= k, so no survivor is overwritten
+            // before it moves.
+            for (size_t k = 0; k < budget; ++k)
+                if (keyed[k].second != k)
+                    batch[k] = std::move(batch[keyed[k].second]);
             end = budget;
-            // Restore event-time order among the survivors so the
-            // assembler feed stays canonical.
-            std::sort(batch.begin(), batch.begin() + end, eventTimeOrder);
             break;
+          }
         }
-        shard->ringStats.countDrop(collector::DropReason::Shed, shed);
+        ring_stats_.countDrop(collector::DropReason::Shed, shed);
         static obs::Counter &shedCount = obs::counter(
             "sleuth_service_shed_spans_total",
             "Spans shed poll-side by the backpressure policy");
@@ -184,26 +173,20 @@ OnlineService::drainShard(Shard *shard, int64_t nowUs,
     }
 
     // Fold the enqueue-side ring-full drops accumulated since the
-    // last poll into the shard's poll-side stats block.
-    size_t ring_full =
-        shard->ringFullDrops.load(std::memory_order_relaxed);
-    if (ring_full > shard->ringFullFlushed) {
-        shard->ringStats.countDrop(collector::DropReason::RingFull,
-                                   ring_full - shard->ringFullFlushed);
-        shard->ringFullFlushed = ring_full;
+    // last poll into the poll-side stats block.
+    size_t ring_full = ring_full_drops_.load(std::memory_order_relaxed);
+    if (ring_full > ring_full_flushed_) {
+        ring_stats_.countDrop(collector::DropReason::RingFull,
+                              ring_full - ring_full_flushed_);
+        ring_full_flushed_ = ring_full;
     }
 
-    // Bulk-feed the survivors in canonical order, then advance the
+    // Bulk-move the survivors in canonical order, then advance the
     // assembler's watermark.
     for (size_t i = begin; i < end; ++i)
-        shard->assembler.add(batch[i].event);
+        assembler_.add(std::move(batch[i]));
     batch.clear();
-    std::vector<trace::Trace> done = shard->assembler.drain(nowUs);
-    completed->insert(completed->end(),
-                      std::make_move_iterator(done.begin()),
-                      std::make_move_iterator(done.end()));
-    *pending_spans += shard->assembler.pendingSpans();
-    *pending_traces += shard->assembler.pendingTraces();
+    return assembler_.drain(nowUs);
 }
 
 void
@@ -248,25 +231,14 @@ OnlineService::absorb(std::vector<trace::Trace> traces)
 std::vector<size_t>
 OnlineService::poll(int64_t nowUs)
 {
-    std::vector<trace::Trace> completed;
-    size_t pending_spans = 0;
-    size_t pending_traces = 0;
-    size_t ingested_total = 0;
-    for (auto &shard : shards_) {
-        drainShard(shard.get(), nowUs, &completed, &pending_spans,
-                   &pending_traces);
-        ingested_total +=
-            shard->spansOffered.load(std::memory_order_relaxed);
-    }
+    std::vector<trace::Trace> completed = drainRing(nowUs);
     // Amortized flush of the per-span ingest count (see ingest()).
     static obs::Counter &ingested = obs::counter(
         "sleuth_service_spans_ingested_total",
         "Spans offered to the online service (pre-admission)");
+    size_t ingested_total = spans_offered_.load(std::memory_order_relaxed);
     ingested.add(ingested_total - obs_ingested_flushed_);
     obs_ingested_flushed_ = ingested_total;
-    // Shards emit canonically; re-sort the merged batch so the shard
-    // count never shows in downstream order.
-    std::sort(completed.begin(), completed.end(), canonicalTraceOrder);
     static obs::Histogram &batch = obs::histogram(
         "sleuth_service_poll_batch_traces",
         "Traces completed per service poll");
@@ -276,18 +248,19 @@ OnlineService::poll(int64_t nowUs)
     // Instantaneous health gauges, refreshed once per poll.
     static obs::Gauge &backlog = obs::gauge(
         "sleuth_service_backlog_spans",
-        "Spans buffered across ingest-shard assemblers");
+        "Spans buffered in the ingest assembler");
     static obs::Gauge &pendingTraces = obs::gauge(
         "sleuth_service_pending_traces",
-        "Incomplete traces buffered across ingest shards");
+        "Incomplete traces buffered in the ingest assembler");
     static obs::Gauge &lag = obs::gauge(
         "sleuth_service_watermark_lag_us",
         "Distance from the poll clock to the event-time watermark");
     static obs::Gauge &stored = obs::gauge(
         "sleuth_service_stored_records",
         "Trace records currently retained by the online store");
-    backlog.set(static_cast<int64_t>(pending_spans));
-    pendingTraces.set(static_cast<int64_t>(pending_traces));
+    // poll() is the assembler's only writer, so it reads it unlocked.
+    backlog.set(static_cast<int64_t>(assembler_.pendingSpans()));
+    pendingTraces.set(static_cast<int64_t>(assembler_.pendingTraces()));
     lag.set(nowUs - watermark_);
     stored.set(static_cast<int64_t>(store_.size()));
     std::vector<size_t> changed = evaluate(watermark_);
@@ -301,14 +274,10 @@ OnlineService::drainAll(int64_t nowUs)
 {
     std::vector<size_t> changed = poll(nowUs);
     std::vector<trace::Trace> completed;
-    for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        std::vector<trace::Trace> done = shard->assembler.flush();
-        completed.insert(completed.end(),
-                         std::make_move_iterator(done.begin()),
-                         std::make_move_iterator(done.end()));
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        completed = assembler_.flush();
     }
-    std::sort(completed.begin(), completed.end(), canonicalTraceOrder);
     absorb(std::move(completed));
     // Evaluate at nowUs itself: the flush already forfeited lateness.
     watermark_ = std::max(watermark_, nowUs);
@@ -567,15 +536,13 @@ OnlineService::enableDurability(const durable::DurableConfig &cfg,
     interner_logged_ = store_.interner()->size();
 
     // Late-span semantics must survive the restart: a committed poll
-    // at nowUs left every assembler's watermark at nowUs - latenessUs,
+    // at nowUs left the assembler's watermark at nowUs - latenessUs,
     // which is exactly the watermark the marker recorded. Seed the
-    // fresh assemblers' clocks from it so a span the crashed process
+    // fresh assembler's clock from it so a span the crashed process
     // would have rejected as late (at-least-once upstreams redeliver
     // the tail, stragglers included) is rejected identically here.
     if (watermark_ != std::numeric_limits<int64_t>::min())
-        for (auto &shard : shards_)
-            shard->assembler.drain(watermark_ +
-                                   config_.assembler.latenessUs);
+        assembler_.drain(watermark_ + config_.assembler.latenessUs);
 
     std::string err;
     if (!log->openForAppend(recovered,
@@ -670,33 +637,27 @@ OnlineService::commitPoll(const std::vector<size_t> &changed)
 size_t
 OnlineService::backlogSpans() const
 {
-    size_t total = 0;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        // Ring occupancy counts too: an enqueued span is buffered
-        // until the next poll drains it (exact under shard.mu when
-        // producers are quiescent — the barrier points callers use).
-        total += shard->assembler.pendingSpans() +
-                 shard->ring.sizeApprox();
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mu_);
+    // Ring occupancy counts too: an enqueued span is buffered until
+    // the next poll drains it (exact under mu_ when producers are
+    // quiescent — the barrier points callers use).
+    return assembler_.pendingSpans() + ring_.sizeApprox();
 }
 
 OnlineStats
 OnlineService::stats() const
 {
     OnlineStats s;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        s.spansIngested +=
-            shard->spansOffered.load(std::memory_order_relaxed);
-        s.assembly.merge(shard->assembler.stats());
-        s.assembly.merge(shard->ringStats);
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        s.spansIngested = spans_offered_.load(std::memory_order_relaxed);
+        s.assembly = assembler_.stats();
+        s.assembly.merge(ring_stats_);
         // Ring-full drops not yet folded by a poll.
         size_t ring_full =
-            shard->ringFullDrops.load(std::memory_order_relaxed);
-        if (ring_full > shard->ringFullFlushed) {
-            size_t unflushed = ring_full - shard->ringFullFlushed;
+            ring_full_drops_.load(std::memory_order_relaxed);
+        if (ring_full > ring_full_flushed_) {
+            size_t unflushed = ring_full - ring_full_flushed_;
             s.assembly.spansRejected += unflushed;
             s.assembly.droppedRingFull += unflushed;
         }

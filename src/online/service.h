@@ -6,25 +6,20 @@
  * ingestion, sliding-window storm detection, and incident-scoped RCA,
  * glued into one service.
  *
- * Ingestion is sharded by hash(traceId) so concurrent collector threads
- * contend only per shard; the shard count is a configuration constant —
- * NOT the thread count — so the same span stream lands in the same
- * shards no matter how many threads deliver it. Each shard's front end
- * is a bounded MPSC ring buffer (util::MpscRing): ingest() hashes the
- * trace id once, routes, and enqueues — producers never take a lock
- * and never run the assembler. All evaluation happens at explicit
- * poll(nowUs) points: each shard's ring is drained in one batch,
+ * Ingestion's front end is one bounded MPSC ring buffer
+ * (util::MpscRing): ingest() enqueues the span — producers never take
+ * a lock and never run the assembler. All evaluation happens at
+ * explicit poll(nowUs) points: the ring is drained in one batch,
  * canonically re-sorted by event time (the ring interleaves producer
  * streams nondeterministically), optionally shed down to the per-poll
- * budget by the configured policy, and fed to that shard's assembler
- * in bulk; completed traces are merged into one canonically sorted
- * batch, stored (under the retention policy bounding memory), folded
- * into the storm detector, and the detector's window verdicts drive
- * the incident lifecycle (Open → Analyzed → Resolved). On storm onset
- * the service snapshots the detection window from the store — every
- * anomalous trace plus a deterministic bottom-k-by-hash sample of
- * normal traces — and runs the batch SleuthPipeline over the anomalous
- * subset.
+ * budget by the configured policy, and moved into the assembler in
+ * bulk; the completed traces, already in canonical order, are stored
+ * (under the retention policy bounding memory), folded into the storm
+ * detector, and the detector's window verdicts drive the incident
+ * lifecycle (Open → Analyzed → Resolved). On storm onset the service
+ * snapshots the detection window from the store — every anomalous
+ * trace plus a deterministic bottom-k-by-hash sample of normal traces
+ * — and runs the batch SleuthPipeline over the anomalous subset.
  *
  * Backpressure is two-tiered (DESIGN.md §3.13). The deterministic
  * tier is poll-side: when a drained batch exceeds shedBudgetSpans,
@@ -78,8 +73,8 @@ struct EndpointProfile
 };
 
 /**
- * Load-shedding policy applied poll-side when a shard's drained batch
- * exceeds the per-poll budget. All three are deterministic functions
+ * Load-shedding policy applied poll-side when a drained batch exceeds
+ * the per-poll budget. All three are deterministic functions
  * of the event multiset (never of producer interleaving):
  *  - DropNewest keeps the budget's worth of earliest events (by span
  *    end time) and sheds the newest tail;
@@ -106,21 +101,16 @@ struct OnlineConfig
     core::PipelineConfig pipeline;
     storage::RetentionConfig retention;
     /**
-     * Ingest shard count. Fixed by configuration — independent of how
-     * many threads call ingest() — so sharding never perturbs results.
-     */
-    size_t ingestShards = 4;
-    /**
-     * Per-shard MPSC ring capacity in spans (rounded up to a power of
-     * two). Bounds ingest-path memory; a poll interval offering more
-     * spans than this to one shard hits the enqueue-side ring-full
-     * drop. Sized so that in normal operation a poll always drains
-     * the ring before it wraps.
+     * MPSC ring capacity in spans (rounded up to a power of two). It
+     * bounds the whole ingest buffer; a poll interval offering more
+     * spans than this hits the enqueue-side ring-full drop. Sized so
+     * that in normal operation a poll always drains the ring before
+     * it wraps.
      */
     size_t ringCapacitySpans = 1 << 16;
     /**
-     * Per-shard per-poll admitted span budget (0 = unlimited). When a
-     * drained batch exceeds it, shedPolicy picks the survivors
+     * Per-poll admitted span budget of the service (0 = unlimited).
+     * When a drained batch exceeds it, shedPolicy picks the survivors
      * deterministically and the rest are counted as shed drops.
      */
     size_t shedBudgetSpans = 0;
@@ -159,7 +149,7 @@ struct OnlineStats
     size_t spansIngested = 0;
     /** Traces stored (post-assembly, post-validation). */
     size_t tracesStored = 0;
-    /** Merged assembly statistics across all shards. */
+    /** Assembly statistics, poll-side drops included. */
     collector::CollectorStats assembly;
     /** Incident lifecycle counters. */
     size_t incidentsOpened = 0;
@@ -177,11 +167,10 @@ class OnlineService
                   const core::NormalProfile &profile, OnlineConfig config);
 
     /**
-     * Ingest one span. Thread-safe and lock-free: the trace id is
-     * hashed once, the event is routed to hash % ingestShards, and
-     * enqueued onto that shard's bounded MPSC ring. Returns false
-     * only when the ring was physically full and the span was dropped
-     * on the spot (counted ring-full); admission/validation drops are
+     * Ingest one span. Thread-safe and lock-free: the event is
+     * enqueued onto the bounded MPSC ring. Returns false only when
+     * the ring was physically full and the span was dropped on the
+     * spot (counted ring-full); admission/validation drops are
      * decided later, at poll time. The const-ref overload copies the
      * event; the rvalue overload moves it into the ring.
      */
@@ -189,8 +178,8 @@ class OnlineService
     bool ingest(SpanEvent &&event);
 
     /**
-     * Advance the clock: drain every shard's ring at nowUs (canonical
-     * event-time re-sort, then shed policy, then bulk assembly),
+     * Advance the clock: drain the ring at nowUs (canonical event-time
+     * re-sort, then shed policy, then bulk assembly),
      * store and observe the completed traces, evaluate storm windows,
      * and run the incident lifecycle. Concurrent ingest() is safe,
      * but spans the caller needs reflected at this poll must be
@@ -216,10 +205,10 @@ class OnlineService
     /** Current watermark (event time). */
     int64_t watermarkUs() const { return watermark_; }
 
-    /** Assembly backlog across shards (spans). */
+    /** Assembly backlog (spans), ring occupancy included. */
     size_t backlogSpans() const;
 
-    /** Cumulative counters (assembly stats merged across shards). */
+    /** Cumulative counters (assembly plus poll-side drops). */
     OnlineStats stats() const;
 
     /** Render stats + incident summaries for tools. */
@@ -259,47 +248,9 @@ class OnlineService
     uint64_t servingFingerprint() const;
 
   private:
-    /** One ring entry: the event plus its precomputed trace-id hash
-        (computed once in ingest(), reused by the sample policy). */
-    struct RingEntry
-    {
-        SpanEvent event;
-        uint64_t traceHash = 0;
-    };
-
-    struct Shard
-    {
-        /** Producer side: lock-free ring + relaxed counters. */
-        util::MpscRing<RingEntry> ring;
-        std::atomic<size_t> spansOffered{0};
-        std::atomic<size_t> ringFullDrops{0};
-        /**
-         * Consumer side, guarded by mu: mu serializes poll()'s drain/
-         * assembly against concurrent stats()/backlogSpans() readers.
-         * ingest() never takes it.
-         */
-        std::mutex mu;
-        SpanAssembler assembler;
-        /** Poll-side drop accounting (shed + flushed ring-full). */
-        collector::CollectorStats ringStats;
-        /** Ring-full count already folded into ringStats. */
-        size_t ringFullFlushed = 0;
-        /** Scratch batch, reused across polls (capacity persists). */
-        std::vector<RingEntry> batch;
-
-        Shard(const AssemblerConfig &config, size_t ring_capacity)
-            : ring(ring_capacity), assembler(config)
-        {
-        }
-    };
-
-    static size_t shardIndex(uint64_t hash, size_t shard_count);
-
-    /** Drain, canonically sort, shed, and assemble one shard's ring;
-        append completed traces to *completed (under shard.mu). */
-    void drainShard(Shard *shard, int64_t nowUs,
-                    std::vector<trace::Trace> *completed,
-                    size_t *pending_spans, size_t *pending_traces);
+    /** Drain the ring, canonically sort, shed, and assemble (under
+        mu_); returns the completed traces in canonical order. */
+    std::vector<trace::Trace> drainRing(int64_t nowUs);
 
     /** Store + observe one batch of completed traces (sorted). */
     void absorb(std::vector<trace::Trace> traces);
@@ -321,7 +272,23 @@ class OnlineService
     OnlineConfig config_;
     core::SleuthPipeline pipeline_;
     core::PipelineCache cache_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    /** Producer side: lock-free ring + relaxed counters. */
+    util::MpscRing<SpanEvent> ring_;
+    std::atomic<size_t> spans_offered_{0};
+    std::atomic<size_t> ring_full_drops_{0};
+    /**
+     * Consumer side, guarded by mu_: mu_ serializes poll()'s drain/
+     * assembly against concurrent stats()/backlogSpans() readers.
+     * ingest() never takes it.
+     */
+    mutable std::mutex mu_;
+    SpanAssembler assembler_;
+    /** Poll-side drop accounting (shed + flushed ring-full). */
+    collector::CollectorStats ring_stats_;
+    /** Ring-full count already folded into ring_stats_. */
+    size_t ring_full_flushed_ = 0;
+    /** Scratch batch, reused across polls (capacity persists). */
+    std::vector<SpanEvent> batch_;
     storage::TraceStore store_;
     StormDetector detector_;
     std::vector<Incident> incidents_;

@@ -130,7 +130,7 @@ SpanColumns::encode(util::BinaryWriter &w) const
 }
 
 bool
-SpanColumns::decode(util::BinaryReader &r)
+SpanColumns::decode(util::BinaryReader &r, size_t vocabulary)
 {
     clear();
     size_t n = r.u32();
@@ -143,6 +143,17 @@ SpanColumns::decode(util::BinaryReader &r)
               decodeColumn(r, pod_, n) && decodeColumn(r, node_, n) &&
               decodeColumn(r, kind_, n) && decodeColumn(r, status_, n) &&
               decodeColumn(r, start_, n) && decodeColumn(r, end_, n);
+    // 64-bit sums: off + len must not wrap past the arena in u32.
+    auto inArena = [&](StrRef ref) {
+        return uint64_t{ref.off} + ref.len <= arena_.size();
+    };
+    auto known = [&](uint32_t id) { return id < vocabulary; };
+    for (size_t i = 0; ok && i < n; ++i)
+        ok = inArena(span_id_[i]) && inArena(parent_id_[i]) &&
+             known(service_[i]) && known(name_[i]) &&
+             known(container_[i]) && known(pod_[i]) && known(node_[i]) &&
+             kind_[i] <= static_cast<uint8_t>(SpanKind::Local) &&
+             status_[i] <= static_cast<uint8_t>(StatusCode::Error);
     if (!ok)
         clear();
     return ok;
@@ -205,9 +216,8 @@ ColumnarTrace::hasError() const
 bool
 ColumnarTrace::touchesService(uint32_t service_id) const
 {
-    const uint32_t *svc = cols_.serviceData();
     for (size_t i = 0; i < cols_.size(); ++i)
-        if (svc[i] == service_id)
+        if (cols_.serviceId(i) == service_id)
             return true;
     return false;
 }
@@ -227,9 +237,19 @@ ColumnarTrace::decode(util::BinaryReader &r,
     SLEUTH_ASSERT(interner != nullptr,
                   "ColumnarTrace::decode requires an interner");
     trace_id_ = r.str();
-    root_ = static_cast<int>(r.i64());
+    int64_t root = r.i64();
     interner_ = std::move(interner);
-    return cols_.decode(r) && r.ok();
+    root_ = -1;
+    if (!r.ok() || !cols_.decode(r, interner_->size()))
+        return false;
+    int64_t first_root = -1;
+    for (size_t i = 0; i < cols_.size() && first_root < 0; ++i)
+        if (cols_.parentSpanId(i).empty())
+            first_root = static_cast<int64_t>(i);
+    if (root != first_root)
+        return false;
+    root_ = static_cast<int>(root);
+    return true;
 }
 
 size_t

@@ -14,7 +14,7 @@
  * (offset,len) pairs.
  *
  * ColumnarTrace bundles the columns with a trace id and the interner
- * that owns the vocabulary; toTrace()/span(i) materialize rows back
+ * that owns the vocabulary; toTrace() materializes rows back
  * into the legacy Span API for JSON, collector, and RCA code, and the
  * round trip is exact (same strings, same order).
  */
@@ -78,12 +78,6 @@ class SpanColumns
     /** Materialize row i as a legacy Span (exact round trip). */
     Span materialize(size_t i, const StringInterner &interner) const;
 
-    /** Raw column pointers for vectorized consumers. */
-    const int64_t *startData() const { return start_.data(); }
-    const int64_t *endData() const { return end_.data(); }
-    const uint32_t *serviceData() const { return service_.data(); }
-    const uint32_t *nameData() const { return name_.data(); }
-
     void clear();
     void shrinkToFit();
 
@@ -96,8 +90,12 @@ class SpanColumns
      */
     void encode(util::BinaryWriter &w) const;
 
-    /** Inverse of encode(); false (and *this cleared) on short input. */
-    bool decode(util::BinaryReader &r);
+    /**
+     * Inverse of encode(). False (and *this cleared) on short input,
+     * a span or parent id outside the arena, an interned id not below
+     * `vocabulary`, or a kind or status past its enum.
+     */
+    bool decode(util::BinaryReader &r, size_t vocabulary);
 
     /** Estimated resident bytes (excludes the shared interner). */
     size_t memoryBytes() const;
@@ -145,12 +143,6 @@ class ColumnarTrace
     /** Materialize the full legacy trace (exact round trip). */
     Trace toTrace() const;
 
-    /** Materialize one span. */
-    Span span(size_t i) const
-    {
-        return cols_.materialize(i, *interner_);
-    }
-
     /** Index of the first span with an empty parent id; -1 if none. */
     int rootIndex() const { return root_; }
 
@@ -187,6 +179,10 @@ class ColumnarTrace
     /**
      * Inverse of encode(), binding the result to `interner` (which
      * must hold the vocabulary the columns were encoded against).
+     * The bytes are untrusted: false unless the columns pass
+     * SpanColumns::decode against the interner's size and the root is
+     * the first span with an empty parent id (-1 when none has one),
+     * as the constructor derives it.
      */
     bool decode(util::BinaryReader &r,
                 std::shared_ptr<StringInterner> interner);

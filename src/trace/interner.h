@@ -7,7 +7,7 @@
  * Sleuth traces draw service/operation/container/pod/node names from a
  * small vocabulary (hundreds of distinct strings across millions of
  * spans), so the columnar span layout (columnar.h) stores u32 ids and
- * shares one StringInterner per TraceStore / SpanAssembler. Ids are
+ * shares one StringInterner per TraceStore. Ids are
  * dense and stable: the n-th distinct string ever interned gets id n-1,
  * and an id never changes or is reused for the interner's lifetime —
  * ROADMAP item 3 (encoding caches keyed by interned ids) depends on

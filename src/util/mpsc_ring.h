@@ -17,7 +17,7 @@
  * ring is full; the caller owns the shed decision.
  *
  * drainInto() is strictly single-consumer: the online service's
- * poll() is the only drainer of a shard's ring. The drain order
+ * poll() is the only drainer of its ring. The drain order
  * interleaves producer streams nondeterministically, which is why the
  * service canonically re-sorts every drained batch by event time
  * before any decision (shedding, assembly) is taken — see the

@@ -14,11 +14,10 @@ namespace sleuth::util {
 
 /**
  * FNV-1a over a byte view. The online layer uses this one hash for
- * ingest-shard routing, the deterministic shed `sample` policy, and
- * the incident normal-trace sample: an explicit hash keeps those
- * decisions identical across standard libraries, and a string_view
- * signature means call sites never materialize a temporary string.
- * The hot path computes it once per span event and reuses the value.
+ * the deterministic shed `sample` policy and the incident normal-trace
+ * sample: an explicit hash keeps those decisions identical across
+ * standard libraries, and a string_view signature means call sites
+ * never materialize a temporary string.
  */
 inline uint64_t
 fnv1a(std::string_view s)

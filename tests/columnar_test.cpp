@@ -1,16 +1,19 @@
 // Columnar span storage: encode/materialize round trips, root
-// metadata, and the memory accounting behind the store's
-// bytes-per-span figure.
+// metadata, checked decoding of untrusted columns, and the memory
+// accounting behind the store's bytes-per-span figure.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "test_helpers.h"
 #include "trace/columnar.h"
 
 using namespace sleuth;
 using sleuth::testing::makeSpan;
+using sleuth::testing::patched;
+using sleuth::testing::peek;
 using trace::ColumnarTrace;
 using trace::SpanColumns;
 using trace::StringInterner;
@@ -32,6 +35,16 @@ sampleTrace()
                                trace::SpanKind::Producer,
                                trace::StatusCode::Unset));
     return t;
+}
+
+/** True when ColumnarTrace::decode accepts `bytes` against `in`. */
+bool
+decodes(const std::string &bytes,
+        const std::shared_ptr<StringInterner> &in)
+{
+    util::BinaryReader r(bytes);
+    ColumnarTrace back;
+    return back.decode(r, in);
 }
 
 } // namespace
@@ -145,9 +158,79 @@ TEST(ColumnarTrace, MaterializeSingleSpan)
     auto in = std::make_shared<StringInterner>();
     trace::Trace t = sampleTrace();
     ColumnarTrace ct(t, in);
-    trace::Span s = ct.span(1);
+    trace::Span s = ct.toTrace().spans[1];
     EXPECT_EQ(s.spanId, "a");
     EXPECT_EQ(s.service, "svc-a");
     EXPECT_EQ(s.startUs, 10);
     EXPECT_EQ(s.endUs, 60);
+}
+
+TEST(ColumnarTrace, DecodeRoundTripsRootedAndRootlessTraces)
+{
+    auto in = std::make_shared<StringInterner>();
+    trace::Trace rootless = sampleTrace();
+    rootless.spans.erase(rootless.spans.begin()); // "a", "b" keep "p"
+    for (const trace::Trace &t : {sampleTrace(), rootless}) {
+        ColumnarTrace ct(t, in);
+        util::BinaryWriter w;
+        ct.encode(w);
+        util::BinaryReader r(w.buffer());
+        ColumnarTrace back;
+        ASSERT_TRUE(back.decode(r, in)) << t.spans.size();
+        EXPECT_EQ(back.rootIndex(), ct.rootIndex());
+        EXPECT_EQ(back.toTrace().spans.size(), t.spans.size());
+    }
+}
+
+TEST(ColumnarTrace, DecodeRefusesCorruptColumns)
+{
+    // Recovery decodes columns from disk, where a valid CRC proves only
+    // that the bytes were written, not that they are sane. Trusted,
+    // these defects crashed `sleuth wal` or `sleuth infer` (SIGSEGV) or
+    // aborted on an interner lookup; decode must refuse each one.
+    auto in = std::make_shared<StringInterner>();
+    trace::Trace t = sampleTrace();
+    util::BinaryWriter w;
+    ColumnarTrace(t, in).encode(w);
+    const std::string good = w.buffer();
+    ASSERT_TRUE(decodes(good, in));
+
+    // Pin the layout the patches below rely on.
+    const sleuth::testing::ColumnarOffsets at =
+        sleuth::testing::columnarOffsets(t);
+    ASSERT_EQ(peek<int64_t>(good, at.root), 0);
+    ASSERT_EQ(peek<uint32_t>(good, at.spanIds + 4), 1u); // "p"
+    ASSERT_EQ(peek<uint32_t>(good, at.parentIds + 12), 1u); // a -> "p"
+    ASSERT_EQ(peek<uint8_t>(good, at.kinds + 2),
+              static_cast<uint8_t>(trace::SpanKind::Producer));
+    ASSERT_EQ(peek<uint8_t>(good, at.statuses + 1),
+              static_cast<uint8_t>(trace::StatusCode::Error));
+    ASSERT_EQ(at.statuses + 3 + 2 * 3 * 8, good.size());
+
+    const uint32_t vocab = static_cast<uint32_t>(in->size());
+    struct Case
+    {
+        const char *what;
+        std::string bytes;
+    };
+    const std::vector<Case> cases = {
+        {"root index 10^6", patched(good, at.root, int64_t{1'000'000})},
+        {"root on a child span", patched(good, at.root, int64_t{1})},
+        {"no root though span 0 has no parent",
+         patched(good, at.root, int64_t{-1})},
+        {"span id at offset 2^30",
+         patched(good, at.spanIds, uint32_t{1} << 30)},
+        {"span id end wraps past 2^32",
+         patched(good, at.spanIds, uint32_t{0xFFFFFFFF})},
+        {"parent id longer than the arena",
+         patched(good, at.parentIds + 12, uint32_t{1000})},
+        {"service id past the interner",
+         patched(good, at.services, vocab)},
+        {"node id past the interner",
+         patched(good, at.nodes + 8, vocab)},
+        {"kind past Local", patched(good, at.kinds, uint8_t{5})},
+        {"status past Error", patched(good, at.statuses + 2, uint8_t{3})},
+    };
+    for (const Case &c : cases)
+        EXPECT_FALSE(decodes(c.bytes, in)) << c.what;
 }

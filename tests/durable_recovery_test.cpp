@@ -1,8 +1,9 @@
 // Durable replay engine (DESIGN.md §3.15): snapshot payload round
 // trips, poll-atomic tail discard, config-free epoch replay, format
-// version checks, bounded decoding of untrusted counts, and the
-// regression pinning replayed evictions bitwise to live evictions
-// while the vocabulary interner keeps growing past evicted records.
+// version checks, bounded decoding of untrusted counts and columns,
+// and the regression pinning replayed evictions bitwise to live
+// evictions while the vocabulary interner keeps growing past evicted
+// records.
 
 #include "online/durable_state.h"
 
@@ -14,10 +15,13 @@
 
 #include "durable/durable_log.h"
 #include "storage/trace_store.h"
+#include "temp_dir.h"
+#include "test_helpers.h"
 #include "trace/trace.h"
 #include "util/binary.h"
 
 using namespace sleuth;
+using sleuth::testing::patched;
 
 namespace {
 
@@ -318,6 +322,143 @@ TEST(DurableReplay, OlderFormatVersionIsRefusedNamingBothVersions)
     online::replayRecoveredLog(log, std::nullopt, {}, &info);
     EXPECT_FALSE(info.ok);
     EXPECT_EQ(info.error, "snapshot decode failed: " + err);
+}
+
+/**
+ * The span-column defects a crafted or buggy data directory can hold
+ * behind a valid CRC, patched into the encoded columns of
+ * makeTrace(0) that start at byte `base` of `payload`.
+ */
+std::vector<std::pair<std::string, std::string>>
+corruptColumns(const std::string &payload, size_t base, size_t vocab)
+{
+    const sleuth::testing::ColumnarOffsets at =
+        sleuth::testing::columnarOffsets(makeTrace(0));
+    const auto id = static_cast<uint32_t>(vocab);
+    return {
+        {"root index 10^6",
+         patched(payload, base + at.root, int64_t{1'000'000})},
+        {"span id at offset 2^30",
+         patched(payload, base + at.spanIds, uint32_t{1} << 30)},
+        {"service id past the interner",
+         patched(payload, base + at.services, id)},
+        {"kind past Local",
+         patched(payload, base + at.kinds, uint8_t{0xff})},
+        {"status past Error",
+         patched(payload, base + at.statuses, uint8_t{3})},
+    };
+}
+
+/** Write one committed poll of `frames` (after the epoch) to cfg.dir,
+    then, if `snapshot` is set, rotate it into a snapshot. */
+void
+writeDataDir(const durable::DurableConfig &cfg,
+             const std::vector<durable::WalFrame> &frames,
+             const std::string *snapshot = nullptr)
+{
+    durable::DurableLog log(cfg);
+    durable::RecoveredLog recovered = log.recover();
+    std::string epoch =
+        online::encodeEpochPayload(online::DetectorConfig{});
+    std::string err;
+    ASSERT_TRUE(log.openForAppend(recovered, epoch, &err)) << err;
+    for (const durable::WalFrame &f : frames)
+        ASSERT_TRUE(log.append(f.kind, f.payload));
+    ASSERT_TRUE(log.commit());
+    if (snapshot != nullptr) {
+        ASSERT_TRUE(log.rotateWithSnapshot(*snapshot, epoch, &err))
+            << err;
+    }
+}
+
+TEST(DurableReplay, CorruptSpanBatchColumnsFailRecovery)
+{
+    // Each defect used to reach TraceStore::restoreRecord unchecked
+    // and crash `sleuth wal --verify` or `sleuth infer --store`, or
+    // abort on an interner lookup. Recovery must stop and name the
+    // record instead.
+    LiveRun live = buildLiveRun(1);
+    size_t batch = 0;
+    while (live.frames[batch].kind != durable::RecordKind::SpanBatch)
+        ++batch;
+    // The record's id, SLO and flow index precede its columns.
+    const size_t columns_at = 3 * 8;
+    for (const auto &[what, payload] :
+         corruptColumns(live.frames[batch].payload, columns_at,
+                        live.store.interner()->size())) {
+        std::vector<durable::WalFrame> frames = live.frames;
+        frames[batch].payload = payload;
+        sleuth::testing::TempDir dir;
+        ASSERT_FALSE(dir.path.empty());
+        durable::DurableConfig cfg;
+        cfg.dir = dir.path;
+        writeDataDir(cfg, frames);
+        online::RecoveryInfo info;
+        online::recoverState(cfg, {}, &info);
+        EXPECT_FALSE(info.ok) << what;
+        EXPECT_EQ(info.error, "corrupt span batch record") << what;
+    }
+}
+
+TEST(DurableReplay, CorruptSnapshotColumnsFailRecovery)
+{
+    // The snapshot's store fingerprint is checked only after its
+    // records are restored, so the columns must be checked on decode.
+    LiveRun live = buildLiveRun(1);
+    online::RecoveryInfo info;
+    online::DurableServingState state = online::replayRecoveredLog(
+        asLog(live.frames), online::DetectorConfig{}, {}, &info);
+    ASSERT_TRUE(info.ok) << info.error;
+    std::string snapshot = online::encodeSnapshotPayload(state);
+    // The one record's columns start at its length-prefixed trace id.
+    size_t columns_at = snapshot.find("trace-0");
+    ASSERT_NE(columns_at, std::string::npos);
+    columns_at -= 4;
+    for (const auto &[what, payload] :
+         corruptColumns(snapshot, columns_at,
+                        state.store.interner()->size())) {
+        sleuth::testing::TempDir dir;
+        ASSERT_FALSE(dir.path.empty());
+        durable::DurableConfig cfg;
+        cfg.dir = dir.path;
+        writeDataDir(cfg, {}, &payload);
+        online::recoverState(cfg, {}, &info);
+        EXPECT_FALSE(info.ok) << what;
+        EXPECT_EQ(info.error,
+                  "snapshot decode failed: corrupt snapshot store section")
+            << what;
+    }
+}
+
+TEST(IncidentCodec, KindAndStatusPastTheirEnumsAreRefused)
+{
+    online::Incident incident;
+    incident.anomalousTraces.push_back(makeTrace(0));
+    util::BinaryWriter w;
+    online::encodeIncident(w, incident);
+    const std::string good = w.buffer();
+    {
+        util::BinaryReader r(good);
+        online::Incident out;
+        ASSERT_TRUE(online::decodeIncident(r, &out));
+    }
+    // The first span's kind byte follows its id, empty parent id,
+    // service and name strings.
+    const trace::Span &root = incident.anomalousTraces[0].spans[0];
+    size_t kind_at = good.find(root.name);
+    ASSERT_NE(kind_at, std::string::npos);
+    kind_at += root.name.size();
+    ASSERT_EQ(static_cast<uint8_t>(good[kind_at]),
+              static_cast<uint8_t>(root.kind));
+    const size_t status_at = kind_at + 1 + 2 * 8;
+    ASSERT_EQ(static_cast<uint8_t>(good[status_at]),
+              static_cast<uint8_t>(root.status));
+    for (size_t at : {kind_at, status_at}) {
+        const std::string bad = patched(good, at, uint8_t{9});
+        util::BinaryReader r(bad);
+        online::Incident out;
+        EXPECT_FALSE(online::decodeIncident(r, &out)) << at;
+    }
 }
 
 TEST(IncidentCodec, MinimumEncodedSizeMatchesDecodeBound)

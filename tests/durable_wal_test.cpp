@@ -17,35 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "temp_dir.h"
+
 using namespace sleuth::durable;
+using sleuth::testing::TempDir;
 
 namespace {
-
-/** Self-cleaning scratch directory under $TMPDIR. */
-struct TempDir
-{
-    std::string path;
-
-    TempDir()
-    {
-        const char *base = std::getenv("TMPDIR");
-        std::string tmpl = std::string(base != nullptr ? base : "/tmp") +
-                           "/sleuth-waltest-XXXXXX";
-        std::vector<char> buf(tmpl.begin(), tmpl.end());
-        buf.push_back('\0');
-        if (mkdtemp(buf.data()) != nullptr)
-            path = buf.data();
-    }
-    ~TempDir()
-    {
-        if (!path.empty()) {
-            std::error_code ec;
-            std::filesystem::remove_all(path, ec);
-        }
-    }
-    TempDir(const TempDir &) = delete;
-    TempDir &operator=(const TempDir &) = delete;
-};
 
 std::string
 readFile(const std::string &path)

@@ -399,10 +399,10 @@ TEST(OnlineService, ShedPoliciesStayDeterministicAndAccounted)
 
 TEST(OnlineService, RingFullPathConservesAccounting)
 {
-    // Physically tiny rings force the enqueue-side last resort. The
+    // A physically tiny ring forces the enqueue-side last resort. The
     // victim set is nondeterministic under concurrent producers, but
     // the ledger must still balance and the ring-full count stays
-    // deterministic: between barriered polls each shard admits
+    // deterministic: between barriered polls the service admits
     // exactly its ring capacity.
     size_t ring_full_reference = 0;
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -433,10 +433,13 @@ TEST(OnlineService, IngestRefusesOnlyWhenRingIsFull)
     online::OnlineService service(world().adapter.model(),
                                   world().adapter.encoder(),
                                   world().adapter.profile(), cfg);
-    // Same trace id -> same shard; the third span finds its ring full.
+    // Three distinct trace ids (fnv1a % 4 = 3, 0, 1, so a four-way
+    // hash-sharded ingest would give each its own ring): capacity
+    // bounds the whole service, so the third span still finds the
+    // ring full.
     auto event = [](int i) {
         online::SpanEvent ev;
-        ev.traceId = "t-ring";
+        ev.traceId = "t-ring-" + std::to_string(i);
         ev.span.spanId = "s" + std::to_string(i);
         ev.span.service = "svc";
         ev.span.name = "op";

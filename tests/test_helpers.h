@@ -2,6 +2,7 @@
 
 // Shared helpers for constructing traces in unit tests.
 
+#include <cstring>
 #include <string>
 
 #include "trace/trace.h"
@@ -50,6 +51,61 @@ figure2Trace()
     t.spans.push_back(makeSpan("a", "p", "svc-a", "opA", 10, 60));
     t.spans.push_back(makeSpan("b", "p", "svc-b", "opB", 30, 80));
     return t;
+}
+
+/**
+ * Byte offsets of fields in what trace::ColumnarTrace::encode writes
+ * for `t`: the trace id, the i64 root, the u32 span count and the
+ * span-id arena, then one block per column (span-id and parent-id
+ * StrRefs; service, name, container, pod and node u32 ids; u8 kinds;
+ * u8 statuses; i64 starts and ends).
+ */
+struct ColumnarOffsets
+{
+    size_t root = 0;
+    size_t spanIds = 0;
+    size_t parentIds = 0;
+    size_t services = 0;
+    size_t nodes = 0;
+    size_t kinds = 0;
+    size_t statuses = 0;
+};
+
+inline ColumnarOffsets
+columnarOffsets(const trace::Trace &t)
+{
+    size_t n = t.spans.size();
+    size_t arena = 0;
+    for (const trace::Span &s : t.spans)
+        arena += s.spanId.size() + s.parentSpanId.size();
+    ColumnarOffsets at;
+    at.root = 4 + t.traceId.size();
+    at.spanIds = at.root + 8 + 4 + 4 + arena;
+    at.parentIds = at.spanIds + 8 * n;
+    at.services = at.parentIds + 8 * n;
+    at.nodes = at.services + 4 * 4 * n;
+    at.kinds = at.nodes + 4 * n;
+    at.statuses = at.kinds + n;
+    return at;
+}
+
+/** `bytes` with the sizeof(T) bytes at `at` overwritten by `value`. */
+template <typename T>
+std::string
+patched(std::string bytes, size_t at, T value)
+{
+    std::memcpy(&bytes[at], &value, sizeof value);
+    return bytes;
+}
+
+/** The T stored at byte `at` of `bytes`. */
+template <typename T>
+T
+peek(const std::string &bytes, size_t at)
+{
+    T value;
+    std::memcpy(&value, &bytes[at], sizeof value);
+    return value;
 }
 
 } // namespace sleuth::testing

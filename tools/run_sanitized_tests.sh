@@ -6,7 +6,7 @@
 #   build-dir  defaults to <repo>/build-sanitize
 #   sanitizer  ON (ASan+UBSan, default) or THREAD (TSan). TSan is the
 #              opt-in job for exercising the thread-pool engine, the
-#              online layer's lock-free MPSC ingest rings
+#              online layer's lock-free MPSC ingest ring
 #              (mpsc_ring_test's concurrent producer/drain hammer,
 #              online_service_test's 1/2/8-thread sweeps incl. the
 #              shed-policy and ring-full paths, campaign

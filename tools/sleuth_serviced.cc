@@ -33,9 +33,9 @@
 //                   [--metrics-text FILE] [--metrics-every POLLS]
 //                   [--infer-out MODEL.json] [--infer-every POLLS]
 //
-// --ring-capacity bounds each ingest shard's MPSC ring (DESIGN.md
-// §3.13); --shed-budget caps the spans a shard admits per poll, the
-// excess shed deterministically by --shed-policy.
+// --ring-capacity bounds the service's one MPSC ingest ring (DESIGN.md
+// §3.13); --shed-budget caps the spans the service admits per poll,
+// the excess shed deterministically by --shed-policy.
 //
 // --data-dir enables the durable store (DESIGN.md §3.15): on startup
 // the daemon auto-recovers whatever the directory holds (newest valid
