@@ -397,14 +397,11 @@ checkPermutationInvariance(const ScenarioRun &run,
 InvariantResult
 checkJsonRoundTrip(const ScenarioRun &run, const CheckContext &)
 {
-    util::Json doc = trace::toJson(run.traces);
-    std::string text = doc.dump();
+    std::string text = trace::toJson(run.traces).dump();
     std::string err;
-    util::Json reparsed = util::Json::parse(text, &err);
+    std::vector<trace::Trace> reloaded = trace::tracesFromText(text, &err);
     if (!err.empty())
         return fail("serialized storm failed to re-parse: " + err);
-    std::vector<trace::Trace> reloaded =
-        trace::tracesFromJson(reparsed);
     if (reloaded.size() != run.traces.size())
         return fail("round trip changed trace count");
     for (size_t i = 0; i < reloaded.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "trace/trace_json.h"
@@ -149,176 +150,300 @@ zipkinKind(const std::string &kind)
     return trace::SpanKind::Local;
 }
 
+/** Zipkin tags: an error unless tags.error is false, "", "false" or absent. */
 bool
-errorTag(const util::Json &tags)
+readErrorTag(util::JsonReader &r)
 {
-    const util::Json *e = tags.find("error");
-    if (e == nullptr)
+    bool error = false;
+    util::JsonReader::Kind kind = util::JsonReader::Kind::Null;
+    std::string_view key;
+    if (!r.enter(util::JsonReader::Kind::Object))
         return false;
-    if (e->type() == util::Json::Type::Bool)
-        return e->asBool();
-    if (e->type() == util::Json::Type::String)
-        return !e->asString().empty() && e->asString() != "false";
-    return true;
+    while (r.nextKey(&key)) {
+        if (key != "error" || !r.peek(&kind)) {
+            r.skipValue();
+        } else if (kind == util::JsonReader::Kind::Bool) {
+            r.readBool(&error);
+        } else if (kind == util::JsonReader::Kind::String) {
+            r.readString(&key);
+            error = !key.empty() && key != "false";
+        } else {
+            error = r.skipValue();
+        }
+    }
+    return error;
+}
+
+/** One Zipkin span; *why gets its first defect, relative to the span. */
+void
+readZipkinSpan(util::JsonReader &r, trace::Span *s, std::string *trace_id,
+               std::string *why)
+{
+    std::string kind;
+    int64_t duration = 0;
+    bool error = false;
+    util::JsonFields f({{"traceId", true, trace_id},
+                        {"id", true, &s->spanId},
+                        {"parentId", false, &s->parentSpanId},
+                        {"name", false, &s->name},
+                        {"kind", false, &kind},
+                        {"timestamp", true, &s->startUs},
+                        {"duration", true, &duration},
+                        {"localEndpoint.serviceName", false}});
+    auto other = [&](int, std::string_view key) {
+        if (key == "tags") {
+            error = readErrorTag(r);
+        } else if (key != "localEndpoint") {
+            r.skipValue();
+        } else {
+            // Only an object's serviceName counts; it may be absent.
+            s->service.clear();
+            util::JsonFields ep({{"serviceName", false, &s->service}});
+            std::string ep_why;
+            bool bad = ep.read(r, &ep_why) && ep.defect(&ep_why);
+            f.mark(7, bad ? "expected a string" : nullptr);
+        }
+    };
+    if (!f.read(r, why, other) || f.defect(why))
+        return;
+    s->kind = kind.empty() ? trace::SpanKind::Local : zipkinKind(kind);
+    s->endUs = s->startUs + duration;
+    s->status = error ? trace::StatusCode::Error : trace::StatusCode::Ok;
 }
 
 /**
- * The decoders' failure exit: report `why` through *error, or die
- * when the caller passed none.
+ * A Zipkin v2 span array; traces come out in traceId order. (A defect
+ * drops every trace, so a defective span may land anywhere.)
  */
 std::vector<trace::Trace>
-reject(const std::string &why, std::string *error)
+readZipkin(util::JsonReader &r, std::string *why)
 {
+    std::map<std::string, trace::Trace> by_trace;
+    std::string trace_id;
+    if (!r.enter(util::JsonReader::Kind::Array))
+        *why = "document: expected an array";
+    else
+        util::readElements(r, "", why, [&](std::string *w) {
+            trace::Span s;
+            readZipkinSpan(r, &s, &trace_id, w);
+            trace::Trace &t = by_trace[trace_id];
+            t.traceId = trace_id;
+            t.spans.push_back(std::move(s));
+        });
+    std::vector<trace::Trace> out;
+    out.reserve(by_trace.size());
+    for (auto &entry : by_trace)
+        out.push_back(std::move(entry.second));
+    return out;
+}
+
+/**
+ * A Jaeger reference or tag: its `key_name` field (refType / key), and
+ * its `value_name` field (spanID / value), checked only when the key is
+ * `wanted` (CHILD_OF / span.kind). True when it is, with *value read.
+ */
+bool
+readPair(util::JsonReader &r, std::string_view key_name,
+         std::string_view value_name, std::string_view wanted,
+         std::string *key, std::string *value, std::string *why)
+{
+    util::JsonFields f({{key_name, true, key}, {value_name, true, value}});
+    if (!f.read(r, why))
+        return false;
+    if (*key != wanted)
+        f.mark(1, nullptr);
+    return !f.defect(why) && *key == wanted;
+}
+
+/**
+ * One Jaeger span, its defects relative to the span: its own fields,
+ * then references[r], then tags[g]. s->service receives the span's
+ * processID, which the entry resolves once its processes are known.
+ */
+void
+readJaegerSpan(util::JsonReader &r, trace::Span *s, std::string *why)
+{
+    int64_t duration = 0;
+    std::string ref_why;
+    std::string tag_why;
+    std::string key;
+    std::string value;
+    s->kind = trace::SpanKind::Server;
+    s->status = trace::StatusCode::Ok;
+    util::JsonFields f({{"spanID", true, &s->spanId},
+                        {"references", false},
+                        {"operationName", true, &s->name},
+                        {"startTime", true, &s->startUs},
+                        {"duration", true, &duration},
+                        {"processID", true, &s->service},
+                        {"tags", false}});
+    auto other = [&](int i, std::string_view) {
+        if (i == 1) {
+            s->parentSpanId.clear();
+            ref_why.clear();
+            if (f.enter(r, i, util::JsonReader::Kind::Array))
+                util::readElements(r, "references", &ref_why,
+                                   [&](std::string *w) {
+                    if (readPair(r, "refType", "spanID", "CHILD_OF", &key,
+                                 &value, w))
+                        s->parentSpanId = value;
+                });
+        } else if (i == 6) {
+            s->kind = trace::SpanKind::Server;
+            s->status = trace::StatusCode::Ok;
+            tag_why.clear();
+            if (f.enter(r, i, util::JsonReader::Kind::Array))
+                util::readElements(r, "tags", &tag_why, [&](std::string *w) {
+                    if (readPair(r, "key", "value", "span.kind", &key,
+                                 &value, w))
+                        s->kind = zipkinKind(value);
+                    else if (w->empty() && key == "error")
+                        s->status = trace::StatusCode::Error;
+                });
+        } else {
+            r.skipValue();
+        }
+    };
+    if (!f.read(r, why, other) || f.defect(why))
+        return;
+    s->endUs = s->startUs + duration;
+    *why = !ref_why.empty() ? std::move(ref_why) : std::move(tag_why);
+}
+
+/** A Jaeger process: its serviceName, or its defect. */
+struct Process
+{
+    std::string service;
+    std::string why;
+};
+
+/** An entry's processes by pid (only an object's members count). */
+void
+readProcesses(util::JsonReader &r,
+              std::unordered_map<std::string, Process> *out)
+{
+    out->clear();
+    std::string_view pid;
+    if (!r.enter(util::JsonReader::Kind::Object))
+        return;
+    while (r.nextKey(&pid)) {
+        Process &p = (*out)[std::string(pid)];
+        p = Process{};
+        util::JsonFields f({{"serviceName", true, &p.service}});
+        if (f.read(r, &p.why))
+            f.defect(&p.why);
+    }
+}
+
+/**
+ * One Jaeger entry: traceID, processes and spans, then per span its
+ * own defects and its process lookup. Services resolve when the entry
+ * closes, so `processes` may follow `spans`.
+ */
+void
+readJaegerEntry(util::JsonReader &r, trace::Trace *t, std::string *why)
+{
+    std::unordered_map<std::string, Process> processes;
+    // The first span defect of the last "spans" member.
+    std::string span_why;
+    util::JsonFields f({{"traceID", true, &t->traceId},
+                        {"processes", true},
+                        {"spans", true}});
+    auto other = [&](int i, std::string_view) {
+        if (i == 1) {
+            f.mark(i, nullptr);
+            readProcesses(r, &processes);
+        } else if (i == 2) {
+            t->spans.clear();
+            span_why.clear();
+            if (f.enter(r, i, util::JsonReader::Kind::Array))
+                util::readElements(r, "spans", &span_why, [&](std::string *w) {
+                    readJaegerSpan(r, &t->spans.emplace_back(), w);
+                    if (!w->empty())
+                        t->spans.pop_back();
+                });
+        } else {
+            r.skipValue();
+        }
+    };
+    if (!f.read(r, why, other) || f.defect(why))
+        return;
+    for (trace::Span &s : t->spans) {
+        auto it = processes.find(s.service);
+        if (it == processes.end()) {
+            s.service.clear();
+        } else if (!it->second.why.empty()) {
+            *why = util::underPath("processes." + s.service, it->second.why);
+            return;
+        } else {
+            s.service = it->second.service;
+        }
+    }
+    *why = std::move(span_why);
+}
+
+/** A Jaeger JSON export; traces come out in document order. */
+std::vector<trace::Trace>
+readJaeger(util::JsonReader &r, std::string *why)
+{
+    std::vector<trace::Trace> out;
+    // The first entry defect of the last "data" member.
+    std::string data_why;
+    util::JsonFields f({{"data", true}});
+    auto data = [&](int i, std::string_view) {
+        if (i < 0) {
+            r.skipValue();
+            return;
+        }
+        out.clear();
+        data_why.clear();
+        if (f.enter(r, i, util::JsonReader::Kind::Array))
+            util::readElements(r, "data", &data_why, [&](std::string *w) {
+                readJaegerEntry(r, &out.emplace_back(), w);
+            });
+    };
+    if (f.read(r, why, data) && !f.defect(why))
+        *why = std::move(data_why);
+    return out;
+}
+
+} // namespace
+
+std::vector<trace::Trace>
+decode(Protocol protocol, std::string_view payload, std::string *error)
+{
+    if (protocol == Protocol::Otel)
+        return trace::tracesFromText(payload, error);
+    util::JsonReader r(payload);
+    std::string why;
+    std::vector<trace::Trace> out = protocol == Protocol::Zipkin
+                                        ? readZipkin(r, &why)
+                                        : readJaeger(r, &why);
+    why = r.verdict(std::move(why));
+    if (why.empty())
+        return out;
     if (error == nullptr)
         util::fatal("collector: ", why);
     *error = why;
     return {};
 }
 
-/**
- * One Jaeger span, its defects reported relative to the span. The
- * element paths of references and tags are built only for a defect.
- */
-bool
-jaegerSpan(const util::Json &j, trace::Span *s, std::string *pid,
-           std::string *why)
-{
-    const util::Json::Array *refs = nullptr;
-    const util::Json::Array *tags = nullptr;
-    int64_t duration = 0;
-    if (!util::getString(j, "", "spanID", &s->spanId, why) ||
-        !util::getOptionalArray(j, "", "references", &refs, why) ||
-        !util::getString(j, "", "operationName", &s->name, why) ||
-        !util::getInt(j, "", "startTime", &s->startUs, why) ||
-        !util::getInt(j, "", "duration", &duration, why) ||
-        !util::getString(j, "", "processID", pid, why) ||
-        !util::getOptionalArray(j, "", "tags", &tags, why))
-        return false;
-    s->endUs = s->startUs + duration;
-    for (size_t r = 0; refs != nullptr && r < refs->size(); ++r) {
-        std::string type;
-        if (!util::getString((*refs)[r], "", "refType", &type, why) ||
-            (type == "CHILD_OF" &&
-             !util::getString((*refs)[r], "", "spanID", &s->parentSpanId,
-                              why))) {
-            *why = util::underPath(
-                "references[" + std::to_string(r) + ']', *why);
-            return false;
-        }
-    }
-    s->kind = trace::SpanKind::Server;
-    s->status = trace::StatusCode::Ok;
-    for (size_t g = 0; tags != nullptr && g < tags->size(); ++g) {
-        std::string key;
-        std::string kind;
-        if (!util::getString((*tags)[g], "", "key", &key, why) ||
-            (key == "span.kind" &&
-             !util::getString((*tags)[g], "", "value", &kind, why))) {
-            *why = util::underPath("tags[" + std::to_string(g) + ']', *why);
-            return false;
-        }
-        if (key == "span.kind")
-            s->kind = zipkinKind(kind);
-        if (key == "error")
-            s->status = trace::StatusCode::Error;
-    }
-    return true;
-}
-
-} // namespace
-
 std::vector<trace::Trace>
 parseZipkin(const util::Json &doc, std::string *error)
 {
-    if (doc.type() != util::Json::Type::Array)
-        return reject("document: expected an array", error);
-    const util::Json::Array &spans = doc.asArray();
-    std::map<std::string, trace::Trace> by_trace;
-    std::string why;
-    for (size_t i = 0; i < spans.size(); ++i) {
-        const util::Json &j = spans[i];
-        trace::Span s;
-        std::string trace_id;
-        std::string kind;
-        int64_t duration = 0;
-        const util::Json *ep = j.find("localEndpoint");
-        if (!util::getString(j, "", "traceId", &trace_id, &why) ||
-            !util::getString(j, "", "id", &s.spanId, &why) ||
-            !util::getOptionalString(j, "", "parentId", &s.parentSpanId,
-                                     &why) ||
-            !util::getOptionalString(j, "", "name", &s.name, &why) ||
-            !util::getOptionalString(j, "", "kind", &kind, &why) ||
-            !util::getInt(j, "", "timestamp", &s.startUs, &why) ||
-            !util::getInt(j, "", "duration", &duration, &why) ||
-            (ep != nullptr && ep->has("serviceName") &&
-             !util::getString(*ep, "localEndpoint", "serviceName",
-                              &s.service, &why)))
-            return reject(
-                util::underPath('[' + std::to_string(i) + ']', why), error);
-        s.kind = kind.empty() ? trace::SpanKind::Local : zipkinKind(kind);
-        s.endUs = s.startUs + duration;
-        const util::Json *tags = j.find("tags");
-        s.status = tags != nullptr && errorTag(*tags)
-                       ? trace::StatusCode::Error
-                       : trace::StatusCode::Ok;
-        trace::Trace &t = by_trace[trace_id];
-        t.traceId = trace_id;
-        t.spans.push_back(std::move(s));
-    }
-    std::vector<trace::Trace> out;
-    out.reserve(by_trace.size());
-    for (auto &[id, t] : by_trace) {
-        (void)id;
-        out.push_back(std::move(t));
-    }
-    return out;
+    return decode(Protocol::Zipkin, doc.dump(), error);
 }
 
 std::vector<trace::Trace>
 parseJaeger(const util::Json &doc, std::string *error)
 {
-    std::vector<trace::Trace> out;
-    std::string why;
-    const util::Json::Array *data = nullptr;
-    if (!util::getArray(doc, "", "data", &data, &why))
-        return reject(why, error);
-    for (size_t k = 0; k < data->size(); ++k) {
-        const util::Json &entry = (*data)[k];
-        trace::Trace t;
-        const util::Json *processes = nullptr;
-        const util::Json::Array *spans = nullptr;
-        bool ok = util::getString(entry, "", "traceID", &t.traceId, &why) &&
-                  util::getField(entry, "", "processes", &processes, &why) &&
-                  util::getArray(entry, "", "spans", &spans, &why);
-        for (size_t i = 0; ok && i < spans->size(); ++i) {
-            trace::Span s;
-            std::string pid;
-            if (!jaegerSpan((*spans)[i], &s, &pid, &why)) {
-                why = util::underPath("spans[" + std::to_string(i) + ']', why);
-                ok = false;
-            } else if (const util::Json *proc = processes->find(pid);
-                       proc != nullptr &&
-                       !util::getString(*proc, "", "serviceName",
-                                        &s.service, &why)) {
-                why = util::underPath("processes." + pid, why);
-                ok = false;
-            } else {
-                t.spans.push_back(std::move(s));
-            }
-        }
-        if (!ok)
-            return reject(
-                util::underPath("data[" + std::to_string(k) + ']', why),
-                error);
-        out.push_back(std::move(t));
-    }
-    return out;
+    return decode(Protocol::Jaeger, doc.dump(), error);
 }
 
 std::vector<trace::Trace>
 parseOtel(const util::Json &doc, std::string *error)
 {
-    return trace::tracesFromJson(doc, error);
+    return decode(Protocol::Otel, doc.dump(), error);
 }
 
 TraceCollector::TraceCollector(storage::TraceStore *store)
@@ -328,25 +453,11 @@ TraceCollector::TraceCollector(storage::TraceStore *store)
 }
 
 size_t
-TraceCollector::ingest(const std::string &payload, Protocol protocol,
+TraceCollector::ingest(std::string_view payload, Protocol protocol,
                        int64_t slo_us)
 {
     std::string error;
-    util::Json doc = util::Json::parse(payload, &error);
-    std::vector<trace::Trace> traces;
-    if (error.empty()) {
-        switch (protocol) {
-          case Protocol::Otel:
-            traces = parseOtel(doc, &error);
-            break;
-          case Protocol::Zipkin:
-            traces = parseZipkin(doc, &error);
-            break;
-          case Protocol::Jaeger:
-            traces = parseJaeger(doc, &error);
-            break;
-        }
-    }
+    std::vector<trace::Trace> traces = decode(protocol, payload, &error);
     if (!error.empty()) {
         util::warn("collector: rejecting ", toString(protocol),
                    " payload: ", error);

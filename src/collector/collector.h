@@ -6,11 +6,16 @@
  * of OpenTelemetry collectors that accept multiple wire protocols —
  * OpenTelemetry, Zipkin, and Jaeger — normalize them, and forward the
  * traces into the storage engine. This module implements the protocol
- * adapters over JSON payloads and a collector front end that ingests
- * into a TraceStore.
+ * decoders over JSON payload text and a collector front end that
+ * ingests into a TraceStore. The decoders read text straight into
+ * trace rows through util::JsonReader, with no DOM; a payload gets the
+ * traces or error that util::Json::parse plus the checked getters
+ * would give (syntax errors first, the last of a repeated key wins,
+ * defects named in a fixed field order whatever the member order).
  */
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/trace_store.h"
@@ -25,36 +30,36 @@ enum class Protocol { Otel, Zipkin, Jaeger };
 /** Render a protocol name. */
 const char *toString(Protocol p);
 
-/*
- * The protocol decoders. A schema defect (a missing or mistyped field,
- * a time that is fractional or beyond 2^53 us) yields no traces and
- * sets *error to its path, e.g. "[0].traceId: missing field"; without
- * an error pointer it is fatal().
- */
-
 /**
- * Parse a Zipkin v2 JSON span array. Spans of multiple traces may be
- * interleaved; they are grouped by traceId. Recognized fields:
- * traceId, id, parentId, name, kind (CLIENT/SERVER/PRODUCER/CONSUMER),
- * timestamp + duration (microseconds), localEndpoint.serviceName, and
- * tags.error for the status.
+ * Decode one payload of `protocol`. A syntax error sets *error to
+ * util::Json::parse's message ("expected value at offset 7"), a schema
+ * defect (a missing or mistyped field, a time that is fractional or
+ * beyond 2^53 us) to its path ("[0].traceId: missing field"); either
+ * yields no traces, and without an error pointer it is fatal().
+ *
+ * - Otel: an array of trace::toJson documents (trace::tracesFromText).
+ * - Zipkin: a v2 span array: traceId, id, parentId, name, kind
+ *   (CLIENT/SERVER/PRODUCER/CONSUMER), timestamp + duration (us),
+ *   localEndpoint.serviceName, and tags.error for the status. Spans
+ *   are grouped by traceId; traces come out in traceId order.
+ * - Jaeger: an export ({"data": [{traceID, spans, processes}]}):
+ *   spanID, references[CHILD_OF].spanID, operationName, startTime +
+ *   duration (us), processID -> processes[pid].serviceName, and the
+ *   span.kind / error tags.
+ *
+ * Otel and Jaeger traces come out in document order.
+ */
+std::vector<trace::Trace> decode(Protocol protocol, std::string_view payload,
+                                 std::string *error = nullptr);
+
+/*
+ * decode() over doc.dump(), for callers holding a DOM. (util::Json
+ * converts from strings, so text overloads of these would be ambiguous.)
  */
 std::vector<trace::Trace> parseZipkin(const util::Json &doc,
                                       std::string *error = nullptr);
-
-/**
- * Parse a Jaeger JSON export ({"data": [{traceID, spans, processes}]}).
- * Recognized: spanID, references[CHILD_OF].spanID, operationName,
- * startTime + duration (microseconds), processID -> processes[pid]
- * .serviceName, and the span.kind / error tags.
- */
 std::vector<trace::Trace> parseJaeger(const util::Json &doc,
                                       std::string *error = nullptr);
-
-/**
- * Parse this library's native OpenTelemetry-like format (an array of
- * trace documents as produced by trace::toJson).
- */
 std::vector<trace::Trace> parseOtel(const util::Json &doc,
                                     std::string *error = nullptr);
 
@@ -135,16 +140,16 @@ class TraceCollector
     explicit TraceCollector(storage::TraceStore *store);
 
     /**
-     * Ingest one JSON payload. A payload that does not parse, or
-     * breaks its protocol's schema, is rejected whole: one Malformed
-     * drop unit and a warning naming the defect.
+     * Ingest one JSON payload through decode(). A payload that does not
+     * parse, or breaks its protocol's schema, is rejected whole: one
+     * Malformed drop unit and a warning naming the defect.
      *
      * @param payload raw JSON text
      * @param protocol wire protocol of the payload
      * @param slo_us SLO stamped on the stored records (0 = unknown)
      * @return number of traces accepted
      */
-    size_t ingest(const std::string &payload, Protocol protocol,
+    size_t ingest(std::string_view payload, Protocol protocol,
                   int64_t slo_us = 0);
 
     /** Running statistics. */

@@ -319,36 +319,67 @@ SleuthGnn::save() const
     return doc;
 }
 
-void
-SleuthGnn::load(const util::Json &doc)
+std::optional<SleuthGnn>
+SleuthGnn::tryFromJson(const util::Json &doc, std::string *error)
 {
-    const util::Json &cfg = doc.at("config");
-    if (static_cast<size_t>(cfg.at("embedDim").asInt()) !=
-            config_.embedDim ||
-        static_cast<size_t>(cfg.at("hidden").asInt()) != config_.hidden)
-        util::fatal("model load: architecture mismatch");
-    nn::parametersFromJson(doc.at("parameters"), parameters());
+    const util::Json *cfg = nullptr;
+    const util::Json *params = nullptr;
+    GnnConfig config;
+    int64_t embed = 0;
+    int64_t hidden = 0;
+    int64_t seed = 0;
+    std::string aggregator;
+    if (!util::getField(doc, "", "config", &cfg, error) ||
+        !util::getInt(*cfg, "config", "embedDim", &embed, error) ||
+        !util::getInt(*cfg, "config", "hidden", &hidden, error) ||
+        !util::getString(*cfg, "config", "aggregator", &aggregator, error) ||
+        !util::getNumber(*cfg, "config", "epsilon", &config.epsilon,
+                         error) ||
+        (cfg->has("thresholdOffset") &&
+         !util::getNumber(*cfg, "config", "thresholdOffset",
+                          &config.thresholdOffset, error)) ||
+        !util::getNumber(*cfg, "config", "scaleMu", &config.scale.mu,
+                         error) ||
+        !util::getNumber(*cfg, "config", "scaleSigma", &config.scale.sigma,
+                         error) ||
+        !util::getInt(*cfg, "config", "seed", &seed, error) ||
+        !util::getField(doc, "", "parameters", &params, error))
+        return std::nullopt;
+    // train's --embed / --hidden ranges, checked before they size anything.
+    auto outside = [&](const char *key, int64_t v, int64_t hi) {
+        if (v >= 1 && v <= hi)
+            return false;
+        *error = std::string("config.") + key +
+                 ": expected an integer in [1, " + std::to_string(hi) +
+                 "], got " + std::to_string(v);
+        return true;
+    };
+    if (outside("embedDim", embed, 1024) || outside("hidden", hidden, 4096))
+        return std::nullopt;
+    if (aggregator != "gin" && aggregator != "gcn") {
+        *error = "config.aggregator: unknown aggregator '" + aggregator + "'";
+        return std::nullopt;
+    }
+    config.embedDim = static_cast<size_t>(embed);
+    config.hidden = static_cast<size_t>(hidden);
+    config.aggregator = aggregator == "gcn" ? Aggregator::Gcn : Aggregator::Gin;
+    config.seed = static_cast<uint64_t>(seed);
+    SleuthGnn model(config);
+    if (!nn::tryParametersFromJson(*params, model.parameters(), error)) {
+        *error = util::underPath("parameters", *error);
+        return std::nullopt;
+    }
+    return model;
 }
 
 SleuthGnn
 SleuthGnn::fromJson(const util::Json &doc)
 {
-    const util::Json &cfg = doc.at("config");
-    GnnConfig config;
-    config.embedDim = static_cast<size_t>(cfg.at("embedDim").asInt());
-    config.hidden = static_cast<size_t>(cfg.at("hidden").asInt());
-    config.aggregator = cfg.at("aggregator").asString() == "gcn"
-        ? Aggregator::Gcn
-        : Aggregator::Gin;
-    config.epsilon = cfg.at("epsilon").asNumber();
-    if (cfg.has("thresholdOffset"))
-        config.thresholdOffset = cfg.at("thresholdOffset").asNumber();
-    config.scale.mu = cfg.at("scaleMu").asNumber();
-    config.scale.sigma = cfg.at("scaleSigma").asNumber();
-    config.seed = static_cast<uint64_t>(cfg.at("seed").asInt());
-    SleuthGnn model(config);
-    model.load(doc);
-    return model;
+    std::string error;
+    std::optional<SleuthGnn> model = tryFromJson(doc, &error);
+    if (!model)
+        util::fatal("model load: ", error);
+    return std::move(*model);
 }
 
 } // namespace sleuth::core

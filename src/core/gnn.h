@@ -27,6 +27,8 @@
  * probability. The MLP therefore emits five values per edge.
  */
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/features.h"
@@ -166,10 +168,16 @@ class SleuthGnn
     /** Serialize configuration + weights. */
     util::Json save() const;
 
-    /** Restore weights from save() output; config must match. */
-    void load(const util::Json &doc);
+    /**
+     * Construct a model from untrusted save() output: the config first
+     * (embedDim in [1, 1024], hidden in [1, 4096], aggregator gin or
+     * gcn), then every tensor. A defect returns nullopt with *error
+     * naming its path, e.g. "parameters[3].data[7]: expected a number".
+     */
+    static std::optional<SleuthGnn> tryFromJson(const util::Json &doc,
+                                                std::string *error);
 
-    /** Construct a model directly from save() output. */
+    /** tryFromJson for trusted save() output: a defect is fatal. */
     static SleuthGnn fromJson(const util::Json &doc);
 
   private:

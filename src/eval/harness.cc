@@ -202,10 +202,8 @@ SleuthAdapter::fineTune(const core::SleuthGnn &pretrained,
 {
     // Snapshot first: `pretrained` may alias the model this adapter
     // currently owns (self-fine-tuning on streamed data).
-    util::Json blob = pretrained.save();
-    core::GnnConfig pretrained_cfg = pretrained.config();
-    model_ = std::make_unique<core::SleuthGnn>(pretrained_cfg);
-    model_->load(blob);
+    model_ = std::make_unique<core::SleuthGnn>(
+        core::SleuthGnn::fromJson(pretrained.save()));
     profile_ = core::NormalProfile();
     for (const trace::Trace &t : corpus)
         profile_.add(t);

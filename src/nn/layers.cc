@@ -86,26 +86,52 @@ parametersToJson(const std::vector<Var> &params)
     return arr;
 }
 
+bool
+tryParametersFromJson(const util::Json &doc, const std::vector<Var> &params,
+                      std::string *error)
+{
+    if (doc.type() != util::Json::Type::Array ||
+        doc.asArray().size() != params.size()) {
+        *error = "document: expected an array of " +
+                 std::to_string(params.size()) + " tensors";
+        return false;
+    }
+    for (size_t i = 0; i < params.size(); ++i) {
+        const std::string at = '[' + std::to_string(i) + ']';
+        const util::Json &entry = doc.asArray()[i];
+        Tensor &value = params[i]->mutableValue();
+        int64_t rows = 0;
+        int64_t cols = 0;
+        const util::Json::Array *data = nullptr;
+        if (!util::getInt(entry, at, "rows", &rows, error) ||
+            !util::getInt(entry, at, "cols", &cols, error) ||
+            !util::getArray(entry, at, "data", &data, error))
+            return false;
+        if (rows != static_cast<int64_t>(value.rows()) ||
+            cols != static_cast<int64_t>(value.cols()) ||
+            data->size() != value.size()) {
+            *error = at + ": expected a " + std::to_string(value.rows()) +
+                     "x" + std::to_string(value.cols()) + " tensor";
+            return false;
+        }
+        for (size_t k = 0; k < data->size(); ++k) {
+            if ((*data)[k].type() != util::Json::Type::Number) {
+                *error = at + ".data[" + std::to_string(k) +
+                         "]: expected a number";
+                return false;
+            }
+            value.data()[k] = (*data)[k].asNumber();
+        }
+    }
+    return true;
+}
+
 void
 parametersFromJson(const util::Json &doc, const std::vector<Var> &params)
 {
-    const auto &arr = doc.asArray();
-    if (arr.size() != params.size())
-        util::fatal("model load: expected ", params.size(),
-                    " parameter tensors, found ", arr.size());
-    for (size_t i = 0; i < params.size(); ++i) {
-        const util::Json &entry = arr[i];
-        size_t rows = static_cast<size_t>(entry.at("rows").asInt());
-        size_t cols = static_cast<size_t>(entry.at("cols").asInt());
-        Tensor &value = params[i]->mutableValue();
-        if (rows != value.rows() || cols != value.cols())
-            util::fatal("model load: parameter ", i, " shape mismatch");
-        const auto &data = entry.at("data").asArray();
-        if (data.size() != value.size())
-            util::fatal("model load: parameter ", i, " size mismatch");
-        for (size_t k = 0; k < data.size(); ++k)
-            value.data()[k] = data[k].asNumber();
-    }
+    std::string error;
+    if (!tryParametersFromJson(doc, params, &error))
+        util::fatal("model load: ", error);
 }
 
 } // namespace sleuth::nn

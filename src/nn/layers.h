@@ -81,9 +81,16 @@ Var activate(const Var &x, Activation act);
 util::Json parametersToJson(const std::vector<Var> &params);
 
 /**
- * Load parameter values in place from JSON produced by
- * parametersToJson(); shapes must match exactly (fatal otherwise).
+ * Load parameter values in place from untrusted JSON in
+ * parametersToJson()'s shape, checking the tensor count, shapes and
+ * element kinds. A defect returns false with *error naming its path,
+ * e.g. "[3].data[7]: expected a number" (params are partly loaded).
  */
+bool tryParametersFromJson(const util::Json &doc,
+                           const std::vector<Var> &params,
+                           std::string *error);
+
+/** tryParametersFromJson for trusted JSON: a defect is fatal. */
 void parametersFromJson(const util::Json &doc,
                         const std::vector<Var> &params);
 

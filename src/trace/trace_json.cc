@@ -29,63 +29,6 @@ toJson(const Trace &trace)
     return doc;
 }
 
-namespace {
-
-/** A decoder's failure exit: report through *error, or die. */
-Trace
-reject(const std::string &why, std::string *error)
-{
-    if (error == nullptr)
-        util::fatal("trace json: ", why);
-    *error = why;
-    return {};
-}
-
-} // namespace
-
-Trace
-traceFromJson(const util::Json &doc, std::string *error)
-{
-    Trace t;
-    std::string why;
-    const util::Json::Array *spans = nullptr;
-    if (!util::getString(doc, "", "traceId", &t.traceId, &why) ||
-        !util::getArray(doc, "", "spans", &spans, &why))
-        return reject(why, error);
-    t.spans.reserve(spans->size());
-    for (size_t i = 0; i < spans->size(); ++i) {
-        const util::Json &j = (*spans)[i];
-        Span s;
-        std::string kind;
-        std::string status;
-        bool ok =
-            util::getString(j, "", "spanId", &s.spanId, &why) &&
-            util::getString(j, "", "parentSpanId", &s.parentSpanId, &why) &&
-            util::getString(j, "", "service", &s.service, &why) &&
-            util::getString(j, "", "name", &s.name, &why) &&
-            util::getString(j, "", "kind", &kind, &why) &&
-            util::getInt(j, "", "startUs", &s.startUs, &why) &&
-            util::getInt(j, "", "endUs", &s.endUs, &why) &&
-            util::getString(j, "", "status", &status, &why) &&
-            util::getOptionalString(j, "", "container", &s.container, &why) &&
-            util::getOptionalString(j, "", "pod", &s.pod, &why) &&
-            util::getOptionalString(j, "", "node", &s.node, &why);
-        if (ok && !trySpanKindFromString(kind, &s.kind)) {
-            why = "kind: unknown span kind '" + kind + "'";
-            ok = false;
-        } else if (ok && !tryStatusCodeFromString(status, &s.status)) {
-            why = "status: unknown status code '" + status + "'";
-            ok = false;
-        }
-        if (!ok)
-            return reject(
-                util::underPath("spans[" + std::to_string(i) + ']', why),
-                error);
-        t.spans.push_back(std::move(s));
-    }
-    return t;
-}
-
 util::Json
 toJson(const std::vector<Trace> &traces)
 {
@@ -95,25 +38,110 @@ toJson(const std::vector<Trace> &traces)
     return arr;
 }
 
+namespace {
+
+/** A decoder's failure exit: report through *error, or die. */
+void
+reject(const std::string &why, std::string *error)
+{
+    if (error == nullptr)
+        util::fatal("trace json: ", why);
+    *error = why;
+}
+
+/** One span; *why gets its first defect, relative to the span. */
+void
+readSpan(util::JsonReader &r, Span *s, std::string *why)
+{
+    std::string kind;
+    std::string status;
+    util::JsonFields f({{"spanId", true, &s->spanId},
+                        {"parentSpanId", true, &s->parentSpanId},
+                        {"service", true, &s->service},
+                        {"name", true, &s->name},
+                        {"kind", true, &kind},
+                        {"startUs", true, &s->startUs},
+                        {"endUs", true, &s->endUs},
+                        {"status", true, &status},
+                        {"container", false, &s->container},
+                        {"pod", false, &s->pod},
+                        {"node", false, &s->node}});
+    if (!f.read(r, why) || f.defect(why))
+        return;
+    if (!trySpanKindFromString(kind, &s->kind))
+        *why = "kind: unknown span kind '" + kind + "'";
+    else if (!tryStatusCodeFromString(status, &s->status))
+        *why = "status: unknown status code '" + status + "'";
+}
+
+/** One trace; its own fields are checked before its spans. */
+void
+readTrace(util::JsonReader &r, Trace *t, std::string *why)
+{
+    // The first span defect of the last "spans" member.
+    std::string span_why;
+    util::JsonFields f({{"traceId", true, &t->traceId}, {"spans", true}});
+    auto spans = [&](int i, std::string_view) {
+        if (i < 0) {
+            r.skipValue();
+            return;
+        }
+        t->spans.clear();
+        span_why.clear();
+        if (f.enter(r, i, util::JsonReader::Kind::Array))
+            util::readElements(r, "spans", &span_why, [&](std::string *w) {
+                readSpan(r, &t->spans.emplace_back(), w);
+            });
+    };
+    if (f.read(r, why, spans) && !f.defect(why))
+        *why = std::move(span_why);
+}
+
+} // namespace
+
+Trace
+traceFromText(std::string_view text, std::string *error)
+{
+    util::JsonReader r(text);
+    Trace t;
+    std::string why;
+    readTrace(r, &t, &why);
+    why = r.verdict(std::move(why));
+    if (why.empty())
+        return t;
+    reject(why, error);
+    return {};
+}
+
+std::vector<Trace>
+tracesFromText(std::string_view text, std::string *error)
+{
+    util::JsonReader r(text);
+    std::vector<Trace> out;
+    std::string why;
+    if (!r.enter(util::JsonReader::Kind::Array))
+        why = "document: expected an array";
+    else
+        util::readElements(r, "", &why, [&](std::string *w) {
+            readTrace(r, &out.emplace_back(), w);
+        });
+    why = r.verdict(std::move(why));
+    if (why.empty())
+        return out;
+    reject(why, error);
+    return {};
+}
+
+Trace
+traceFromJson(const util::Json &doc, std::string *error)
+{
+    return traceFromText(doc.dump(), error);
+}
+
 std::vector<Trace>
 tracesFromJson(const util::Json &doc, std::string *error)
 {
-    if (doc.type() != util::Json::Type::Array) {
-        reject("document: expected an array", error);
-        return {};
-    }
-    const util::Json::Array &docs = doc.asArray();
-    std::vector<Trace> out(docs.size());
-    std::string why;
-    for (size_t i = 0; i < docs.size(); ++i) {
-        out[i] = traceFromJson(docs[i], &why);
-        if (!why.empty()) {
-            reject(util::underPath('[' + std::to_string(i) + ']', why),
-                   error);
-            return {};
-        }
-    }
-    return out;
+    return tracesFromText(doc.dump(), error);
 }
 
 } // namespace sleuth::trace

@@ -1,6 +1,6 @@
 #include "json.h"
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -131,7 +131,10 @@ escapeTo(std::string &out, const std::string &s)
 void
 numberTo(std::string &out, double v)
 {
-    if (v == std::floor(v) && std::abs(v) < 1e15) {
+    // parse() reads no inf or nan, so they are written as null.
+    if (!std::isfinite(v)) {
+        out += "null";
+    } else if (v == std::floor(v) && std::abs(v) < 1e15) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%lld",
                       static_cast<long long>(v));
@@ -209,325 +212,370 @@ Json::dump(int indent) const
     return out;
 }
 
-namespace {
-
-/** Recursive-descent JSON parser over a raw character buffer. */
-class Parser
+bool
+JsonReader::fail(const char *why)
 {
-  public:
-    Parser(const std::string &text, std::string *error)
-        : text_(text), error_(error) {}
+    if (!failed_)
+        error_ = std::string(why) + " at offset " + std::to_string(pos_);
+    failed_ = true;
+    return false;
+}
 
-    Json
-    run()
-    {
-        Json v = value();
-        skipWs();
-        if (!failed_ && pos_ != text_.size())
-            fail("trailing characters");
-        return failed_ ? Json() : v;
+void
+JsonReader::skipWs()
+{
+    // The C locale's isspace set.
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || (text_[pos_] >= '\t' && text_[pos_] <= '\r')))
+        ++pos_;
+}
+
+bool
+JsonReader::next(char *c)
+{
+    if (failed_)
+        return false;
+    skipWs();
+    if (pos_ >= text_.size())
+        return fail("unexpected end of input");
+    *c = text_[pos_];
+    return true;
+}
+
+bool
+JsonReader::peek(Kind *kind)
+{
+    char c = 0;
+    if (!next(&c))
+        return false;
+    switch (c) {
+      case '{': *kind = Kind::Object; break;
+      case '[': *kind = Kind::Array; break;
+      case '"': *kind = Kind::String; break;
+      case 't':
+      case 'f': *kind = Kind::Bool; break;
+      case 'n': *kind = Kind::Null; break;
+      default: *kind = Kind::Number; break;
     }
+    return true;
+}
 
-    bool failed() const { return failed_; }
-
-  private:
-    void
-    fail(const std::string &why)
-    {
-        if (!failed_ && error_)
-            *error_ = why + " at offset " + std::to_string(pos_);
-        failed_ = true;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
+bool
+JsonReader::enter(Kind kind)
+{
+    Kind is = Kind::Null;
+    if (!peek(&is))
+        return false;
+    if (is != kind) {
+        skipValue();
         return false;
     }
+    // Bounded nesting: untrusted payloads must not be able to exhaust
+    // the stack of a recursive reader.
+    if (depth_ == Json::kMaxParseDepth)
+        return fail("nesting too deep");
+    ++depth_;
+    ++pos_;
+    fresh_ = true;
+    return true;
+}
 
-    bool
-    literal(const char *word)
-    {
-        size_t n = std::string(word).size();
-        if (text_.compare(pos_, n, word) == 0) {
-            pos_ += n;
-            return true;
-        }
+bool
+JsonReader::step(char closer, const char *no_comma)
+{
+    if (failed_)
+        return false;
+    skipWs();
+    if (at(closer)) {
+        ++pos_;
+        --depth_;
+        fresh_ = false;
         return false;
     }
+    if (!fresh_ && !at(','))
+        return fail(no_comma);
+    pos_ += fresh_ ? 0 : 1;
+    fresh_ = false;
+    return true;
+}
 
-    Json
-    value()
-    {
-        skipWs();
-        if (pos_ >= text_.size()) {
-            fail("unexpected end of input");
-            return Json();
-        }
-        char c = text_[pos_];
-        if (c == '{' || c == '[') {
-            // Bounded recursion: untrusted payloads must not be able to
-            // exhaust the stack.
-            if (depth_ == Json::kMaxParseDepth) {
-                fail("nesting too deep");
-                return Json();
-            }
-            ++depth_;
-            Json v = c == '{' ? object() : array();
-            --depth_;
-            return v;
-        }
-        if (c == '"')
-            return Json(string());
-        if (c == 't') {
-            if (literal("true"))
-                return Json(true);
-            fail("bad literal");
-            return Json();
-        }
-        if (c == 'f') {
-            if (literal("false"))
-                return Json(false);
-            fail("bad literal");
-            return Json();
-        }
-        if (c == 'n') {
-            if (literal("null"))
-                return Json();
-            fail("bad literal");
-            return Json();
-        }
-        return number();
+bool
+JsonReader::nextKey(std::string_view *key)
+{
+    if (!step('}', "expected ',' or '}'"))
+        return false;
+    skipWs();
+    if (!lexString(key))
+        return false;
+    skipWs();
+    if (!at(':'))
+        return fail("expected ':'");
+    ++pos_;
+    return true;
+}
+
+bool
+JsonReader::hex4(unsigned *code)
+{
+    if (pos_ + 4 > text_.size())
+        return fail("bad unicode escape");
+    unsigned v = 0;
+    for (int i = 0; i < 4; ++i) {
+        char h = text_[pos_++];
+        v <<= 4;
+        if (h >= '0' && h <= '9')
+            v += static_cast<unsigned>(h - '0');
+        else if (h >= 'a' && h <= 'f')
+            v += static_cast<unsigned>(h - 'a' + 10);
+        else if (h >= 'A' && h <= 'F')
+            v += static_cast<unsigned>(h - 'A' + 10);
+        else
+            return fail("bad unicode escape");
     }
+    *code = v;
+    return true;
+}
 
-    Json
-    number()
-    {
-        size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (start == pos_) {
-            fail("expected value");
-            return Json();
-        }
-        char *end = nullptr;
-        std::string tok = text_.substr(start, pos_ - start);
-        double v = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size()) {
-            fail("bad number");
-            return Json();
-        }
-        return Json(v);
-    }
-
-    /** Consume 4 hex digits into *code; fail()s on malformed input. */
-    bool
-    hex4(unsigned *code)
-    {
-        if (pos_ + 4 > text_.size()) {
-            fail("bad unicode escape");
-            return false;
-        }
-        unsigned v = 0;
-        for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            v <<= 4;
-            if (h >= '0' && h <= '9')
-                v += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-                v += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-                v += static_cast<unsigned>(h - 'A' + 10);
-            else {
-                fail("bad unicode escape");
-                return false;
-            }
-        }
-        *code = v;
+bool
+JsonReader::lexString(std::string_view *out)
+{
+    if (failed_)
+        return false;
+    if (!at('"'))
+        return fail("expected string");
+    // Fast path: with no escapes the value is a view of the text.
+    const size_t start = ++pos_;
+    size_t end = start;
+    while (end < text_.size() && text_[end] != '"' && text_[end] != '\\')
+        ++end;
+    if (end < text_.size() && text_[end] == '"') {
+        *out = text_.substr(start, end - start);
+        pos_ = end + 1;
         return true;
     }
-
-    std::string
-    string()
-    {
-        std::string out;
-        if (!consume('"')) {
-            fail("expected string");
-            return out;
+    std::string &s = scratch_;
+    s.assign(text_.substr(start, end - start));
+    pos_ = end;
+    while (pos_ < text_.size()) {
+        char c = text_[pos_++];
+        if (c == '"') {
+            *out = s;
+            return true;
         }
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    break;
-                char e = text_[pos_++];
-                switch (e) {
-                  case '"': out.push_back('"'); break;
-                  case '\\': out.push_back('\\'); break;
-                  case '/': out.push_back('/'); break;
-                  case 'n': out.push_back('\n'); break;
-                  case 't': out.push_back('\t'); break;
-                  case 'r': out.push_back('\r'); break;
-                  case 'b': out.push_back('\b'); break;
-                  case 'f': out.push_back('\f'); break;
-                  case 'u': {
-                    unsigned code = 0;
-                    if (!hex4(&code))
-                        return out;
-                    // UTF-16 surrogate pairs: a high surrogate must be
-                    // followed by an escaped low surrogate; the pair
-                    // combines into one supplementary code point
-                    // (emitting the halves separately would be invalid
-                    // CESU-8, not UTF-8). Lone surrogates of either
-                    // kind are parse errors.
-                    if (code >= 0xd800 && code <= 0xdbff) {
-                        if (pos_ + 2 > text_.size() ||
-                            text_[pos_] != '\\' ||
-                            text_[pos_ + 1] != 'u') {
-                            fail("lone high surrogate");
-                            return out;
-                        }
-                        pos_ += 2;
-                        unsigned low = 0;
-                        if (!hex4(&low))
-                            return out;
-                        if (low < 0xdc00 || low > 0xdfff) {
-                            fail("bad low surrogate");
-                            return out;
-                        }
-                        code = 0x10000 + ((code - 0xd800) << 10) +
-                               (low - 0xdc00);
-                    } else if (code >= 0xdc00 && code <= 0xdfff) {
-                        fail("lone low surrogate");
-                        return out;
-                    }
-                    // Encode the code point as UTF-8 (1-4 bytes).
-                    if (code < 0x80) {
-                        out.push_back(static_cast<char>(code));
-                    } else if (code < 0x800) {
-                        out.push_back(static_cast<char>(0xc0 | (code >> 6)));
-                        out.push_back(
-                            static_cast<char>(0x80 | (code & 0x3f)));
-                    } else if (code < 0x10000) {
-                        out.push_back(static_cast<char>(0xe0 | (code >> 12)));
-                        out.push_back(static_cast<char>(
-                            0x80 | ((code >> 6) & 0x3f)));
-                        out.push_back(
-                            static_cast<char>(0x80 | (code & 0x3f)));
-                    } else {
-                        out.push_back(static_cast<char>(0xf0 | (code >> 18)));
-                        out.push_back(static_cast<char>(
-                            0x80 | ((code >> 12) & 0x3f)));
-                        out.push_back(static_cast<char>(
-                            0x80 | ((code >> 6) & 0x3f)));
-                        out.push_back(
-                            static_cast<char>(0x80 | (code & 0x3f)));
-                    }
-                    break;
-                  }
-                  default:
-                    fail("bad escape");
-                    return out;
-                }
+        if (c != '\\') {
+            s.push_back(c);
+            continue;
+        }
+        if (pos_ >= text_.size())
+            break;
+        char e = text_[pos_++];
+        switch (e) {
+          case '"': s.push_back('"'); break;
+          case '\\': s.push_back('\\'); break;
+          case '/': s.push_back('/'); break;
+          case 'n': s.push_back('\n'); break;
+          case 't': s.push_back('\t'); break;
+          case 'r': s.push_back('\r'); break;
+          case 'b': s.push_back('\b'); break;
+          case 'f': s.push_back('\f'); break;
+          case 'u': {
+            unsigned code = 0;
+            if (!hex4(&code))
+                return false;
+            // UTF-16 surrogate pairs: a high surrogate must be followed
+            // by an escaped low surrogate; the pair combines into one
+            // supplementary code point (emitting the halves separately
+            // would be invalid CESU-8, not UTF-8). Lone surrogates of
+            // either kind are parse errors.
+            if (code >= 0xd800 && code <= 0xdbff) {
+                if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
+                    text_[pos_ + 1] != 'u')
+                    return fail("lone high surrogate");
+                pos_ += 2;
+                unsigned low = 0;
+                if (!hex4(&low))
+                    return false;
+                if (low < 0xdc00 || low > 0xdfff)
+                    return fail("bad low surrogate");
+                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+            } else if (code >= 0xdc00 && code <= 0xdfff) {
+                return fail("lone low surrogate");
+            }
+            // Encode the code point as UTF-8 (1-4 bytes).
+            if (code < 0x80) {
+                s.push_back(static_cast<char>(code));
+            } else if (code < 0x800) {
+                s.push_back(static_cast<char>(0xc0 | (code >> 6)));
+                s.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+            } else if (code < 0x10000) {
+                s.push_back(static_cast<char>(0xe0 | (code >> 12)));
+                s.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+                s.push_back(static_cast<char>(0x80 | (code & 0x3f)));
             } else {
-                out.push_back(c);
+                s.push_back(static_cast<char>(0xf0 | (code >> 18)));
+                s.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
+                s.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+                s.push_back(static_cast<char>(0x80 | (code & 0x3f)));
             }
-        }
-        fail("unterminated string");
-        return out;
-    }
-
-    Json
-    array()
-    {
-        Json out = Json::array();
-        consume('[');
-        skipWs();
-        if (consume(']'))
-            return out;
-        while (true) {
-            out.push(value());
-            if (failed_)
-                return Json();
-            skipWs();
-            if (consume(']'))
-                return out;
-            if (!consume(',')) {
-                fail("expected ',' or ']'");
-                return Json();
-            }
+            break;
+          }
+          default:
+            return fail("bad escape");
         }
     }
+    return fail("unterminated string");
+}
 
-    Json
-    object()
-    {
-        Json out = Json::object();
-        consume('{');
-        skipWs();
-        if (consume('}'))
-            return out;
-        while (true) {
-            skipWs();
-            std::string key = string();
-            if (failed_)
-                return Json();
-            skipWs();
-            if (!consume(':')) {
-                fail("expected ':'");
-                return Json();
-            }
-            out.set(key, value());
-            if (failed_)
-                return Json();
-            skipWs();
-            if (consume('}'))
-                return out;
-            if (!consume(',')) {
-                fail("expected ',' or '}'");
-                return Json();
-            }
-        }
+bool
+JsonReader::readNumber(double *out)
+{
+    char c = 0;
+    if (!next(&c))
+        return false;
+    const size_t start = pos_;
+    while (pos_ < text_.size() &&
+           ((text_[pos_] >= '0' && text_[pos_] <= '9') ||
+            text_[pos_] == '-' || text_[pos_] == '+' ||
+            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E'))
+        ++pos_;
+    if (pos_ == start)
+        return fail("expected value");
+    // Exact fast path: strtod's value for an integer of at most 15
+    // digits (-0.0 for "-0").
+    const std::string_view tok = text_.substr(start, pos_ - start);
+    const size_t neg = tok[0] == '-' ? 1 : 0;
+    int64_t v = 0;
+    size_t i = neg;
+    while (i < tok.size() && i - neg < 15 && tok[i] >= '0' && tok[i] <= '9')
+        v = v * 10 + (tok[i++] - '0');
+    if (i == tok.size() && i > neg) {
+        *out = neg ? -static_cast<double>(v) : static_cast<double>(v);
+        return true;
     }
+    // Otherwise strtod on the whole token, which it must consume.
+    const std::string z(tok);
+    char *end = nullptr;
+    *out = std::strtod(z.c_str(), &end);
+    if (end != z.c_str() + z.size())
+        return fail("bad number");
+    if (!std::isfinite(*out))
+        return fail("number out of range");
+    return true;
+}
 
-    const std::string &text_;
-    std::string *error_;
-    size_t pos_ = 0;
-    int depth_ = 0;
-    bool failed_ = false;
-};
+bool
+JsonReader::literal(std::string_view word)
+{
+    if (text_.compare(pos_, word.size(), word) != 0)
+        return fail("bad literal");
+    pos_ += word.size();
+    return true;
+}
+
+bool
+JsonReader::readBool(bool *out)
+{
+    char c = 0;
+    if (!next(&c))
+        return false;
+    *out = c == 't';
+    return literal(*out ? "true" : "false");
+}
+
+bool
+JsonReader::skipValue()
+{
+    Kind kind = Kind::Null;
+    std::string_view s;
+    double d = 0.0;
+    bool b = false;
+    if (!peek(&kind))
+        return false;
+    switch (kind) {
+      case Kind::Object:
+        enter(kind);
+        while (nextKey(&s))
+            skipValue();
+        return !failed_;
+      case Kind::Array:
+        enter(kind);
+        while (nextElement())
+            skipValue();
+        return !failed_;
+      case Kind::String: return readString(&s);
+      case Kind::Bool: return readBool(&b);
+      case Kind::Null: return literal("null");
+      case Kind::Number: break;
+    }
+    return readNumber(&d);
+}
+
+bool
+JsonReader::finish()
+{
+    if (failed_)
+        return false;
+    skipWs();
+    return pos_ == text_.size() || fail("trailing characters");
+}
+
+namespace {
+
+/** The DOM of the value at `r` (garbage once r has failed). */
+Json
+build(JsonReader &r)
+{
+    JsonReader::Kind kind = JsonReader::Kind::Null;
+    std::string_view s;
+    double d = 0.0;
+    bool b = false;
+    if (!r.peek(&kind))
+        return Json();
+    switch (kind) {
+      case JsonReader::Kind::Object: {
+        Json::Object obj;
+        r.enter(kind);
+        while (r.nextKey(&s)) {
+            // Copied first: reading the value may reuse the key's buffer.
+            std::string key(s);
+            obj[std::move(key)] = build(r);
+        }
+        return Json(std::move(obj));
+      }
+      case JsonReader::Kind::Array: {
+        Json::Array arr;
+        r.enter(kind);
+        while (r.nextElement())
+            arr.push_back(build(r));
+        return Json(std::move(arr));
+      }
+      case JsonReader::Kind::String:
+        r.readString(&s);
+        return Json(std::string(s));
+      case JsonReader::Kind::Bool:
+        r.readBool(&b);
+        return Json(b);
+      case JsonReader::Kind::Null:
+        r.skipValue();
+        return Json();
+      case JsonReader::Kind::Number:
+        break;
+    }
+    r.readNumber(&d);
+    return Json(d);
+}
 
 } // namespace
 
 Json
 Json::parse(const std::string &text, std::string *error)
 {
-    std::string local_error;
-    Parser p(text, error ? error : &local_error);
-    Json v = p.run();
-    if (p.failed())
-        return Json();
+    JsonReader r(text);
+    Json v = build(r);
+    const bool ok = r.finish();
     if (error)
-        error->clear();
-    return v;
+        *error = r.error();
+    return ok ? v : Json();
 }
 
 std::string
@@ -547,6 +595,27 @@ underPath(const std::string &path, const std::string &defect)
 
 namespace {
 
+// The checked getters' problems, shared with JsonFields. kExpected is
+// indexed by Json::Type; kOk is JsonFields' verdict on a good member.
+const char *const kExpected[] = {
+    "expected null",     "expected a bool",   "expected a number",
+    "expected a string", "expected an array", "expected an object"};
+const char *const kMissing = "missing field";
+const char *const kOk = "";
+
+/** The integer problem of number v, or nullptr when it is exact. */
+const char *
+intProblem(double v)
+{
+    // Integers up to 2^53 are exact in a double; past that, and for
+    // fractions, a cast to int64 would guess (or be undefined).
+    if (v != std::floor(v))
+        return "expected an integer";
+    if (std::fabs(v) > 9007199254740992.0)
+        return "integer out of range";
+    return nullptr;
+}
+
 /**
  * obj[key] for the checked getters, of kind `type` (Null: any kind).
  * *out is nullptr when a key that is not `required` is absent.
@@ -556,10 +625,6 @@ member(const Json &obj, const std::string &path, const char *key,
        bool required, Json::Type type, const Json **out,
        std::string *error)
 {
-    // Indexed by Json::Type.
-    static const char *const kKinds[] = {"null",     "a bool",
-                                         "a number", "a string",
-                                         "an array", "an object"};
     if (obj.type() != Json::Type::Object) {
         *error = (path.empty() ? std::string("document") : path) +
                  ": expected an object";
@@ -567,11 +632,10 @@ member(const Json &obj, const std::string &path, const char *key,
     }
     *out = obj.find(key);
     if (*out == nullptr && required)
-        *error = joinPath(path, key) + ": missing field";
+        *error = joinPath(path, key) + ": " + kMissing;
     else if (*out != nullptr && type != Json::Type::Null &&
              (*out)->type() != type)
-        *error = joinPath(path, key) + ": expected " +
-                 kKinds[static_cast<int>(type)];
+        *error = joinPath(path, key) + ": " + kExpected[static_cast<int>(type)];
     else
         return true;
     return false;
@@ -598,30 +662,12 @@ readInt(const Json &obj, const std::string &path, const char *key,
         return false;
     if (f == nullptr)
         return true;
-    // Integers up to 2^53 are exact in a double; past that, and for
-    // fractions, a cast to int64 would guess (or be undefined).
     double v = f->asNumber();
-    if (v != std::floor(v)) {
-        *error = joinPath(path, key) + ": expected an integer";
-        return false;
-    }
-    if (std::fabs(v) > 9007199254740992.0) {
-        *error = joinPath(path, key) + ": integer out of range";
+    if (const char *problem = intProblem(v)) {
+        *error = joinPath(path, key) + ": " + problem;
         return false;
     }
     *out = static_cast<int64_t>(v);
-    return true;
-}
-
-bool
-readArray(const Json &obj, const std::string &path, const char *key,
-          bool required, const Json::Array **out, std::string *error)
-{
-    const Json *f = nullptr;
-    if (!member(obj, path, key, required, Json::Type::Array, &f, error))
-        return false;
-    if (f != nullptr)
-        *out = &f->asArray();
     return true;
 }
 
@@ -688,15 +734,83 @@ bool
 getArray(const Json &obj, const std::string &path, const char *key,
          const Json::Array **out, std::string *error)
 {
-    return readArray(obj, path, key, true, out, error);
+    const Json *f = nullptr;
+    if (!member(obj, path, key, true, Json::Type::Array, &f, error))
+        return false;
+    *out = &f->asArray();
+    return true;
+}
+
+JsonFields::JsonFields(std::initializer_list<Field> fields)
+    : n_(fields.size())
+{
+    SLEUTH_ASSERT(n_ <= kMaxFields, "json fields: too many");
+    std::copy(fields.begin(), fields.end(), fields_);
+}
+
+int
+JsonFields::find(std::string_view key) const
+{
+    for (size_t i = 0; i < n_; ++i)
+        if (key == fields_[i].name)
+            return static_cast<int>(i);
+    return -1;
+}
+
+void
+JsonFields::mark(int i, const char *problem)
+{
+    state_[i] = problem == nullptr ? kOk : problem;
 }
 
 bool
-getOptionalArray(const Json &obj, const std::string &path,
-                 const char *key, const Json::Array **out,
-                 std::string *error)
+JsonFields::expect(JsonReader &r, int i, Json::Type want)
 {
-    return readArray(obj, path, key, false, out, error);
+    Json::Type kind = Json::Type::Null;
+    if (!r.peek(&kind))
+        return false;
+    if (kind == want) {
+        mark(i, nullptr);
+        return true;
+    }
+    mark(i, kExpected[static_cast<int>(want)]);
+    r.skipValue();
+    return false;
+}
+
+bool
+JsonFields::readInto(JsonReader &r, int i)
+{
+    double v = 0.0;
+    std::string_view s;
+    if (std::string **out = std::get_if<std::string *>(&fields_[i].into)) {
+        if (expect(r, i, Json::Type::String) && r.readString(&s))
+            (*out)->assign(s);
+    } else if (int64_t **n = std::get_if<int64_t *>(&fields_[i].into)) {
+        if (expect(r, i, Json::Type::Number) && r.readNumber(&v)) {
+            mark(i, intProblem(v));
+            if (state_[i] == kOk)
+                **n = static_cast<int64_t>(v);
+        }
+    } else {
+        return false;
+    }
+    return true;
+}
+
+bool
+JsonFields::defect(std::string *why) const
+{
+    for (size_t i = 0; i < n_; ++i) {
+        const char *problem = state_[i];
+        if (problem == nullptr && fields_[i].required)
+            problem = kMissing;
+        if (problem != nullptr && problem != kOk) {
+            *why = std::string(fields_[i].name) + ": " + problem;
+            return true;
+        }
+    }
+    return false;
 }
 
 } // namespace sleuth::util

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+
 #include "core/gnn.h"
 #include "core/trainer.h"
 #include "sim/simulator.h"
@@ -234,6 +237,82 @@ TEST(SleuthGnn, SaveLoadRoundTrip)
     TraceBatch batch = enc.encode(ptrs);
     EXPECT_NEAR(a.loss(batch)->value().item(),
                 b.loss(batch)->value().item(), 1e-9);
+}
+
+namespace {
+
+/** A saved small model with one edit applied, and its load error. */
+std::string
+loadError(void (*edit)(util::Json &doc))
+{
+    util::Json doc = SleuthGnn(smallConfig()).save();
+    edit(doc);
+    std::string err;
+    std::optional<SleuthGnn> model = SleuthGnn::tryFromJson(doc, &err);
+    EXPECT_FALSE(model.has_value());
+    return err;
+}
+
+} // namespace
+
+TEST(SleuthGnnModelFile, MistypedConfigFieldIsNamed)
+{
+    EXPECT_EQ(loadError([](util::Json &doc) {
+                  doc.asObject()["config"].set("embedDim", "x");
+              }),
+              "config.embedDim: expected a number");
+}
+
+TEST(SleuthGnnModelFile, MissingConfigIsNamed)
+{
+    EXPECT_EQ(loadError([](util::Json &doc) {
+                  doc.asObject().erase("config");
+              }),
+              "config: missing field");
+}
+
+TEST(SleuthGnnModelFile, MistypedWeightIsNamed)
+{
+    EXPECT_EQ(loadError([](util::Json &doc) {
+                  doc.asObject()["parameters"].asArray()[0].asObject()
+                      ["data"].asArray()[0] = util::Json("x");
+              }),
+              "parameters[0].data[0]: expected a number");
+    // A NaN weight saves as null and is named the same way.
+    EXPECT_EQ(loadError([](util::Json &doc) {
+                  util::Json::Array &params =
+                      doc.asObject()["parameters"].asArray();
+                  params[1].asObject()["data"].asArray()[2] =
+                      util::Json(std::nan(""));
+                  std::string err;
+                  doc = util::Json::parse(doc.dump(), &err);
+              }),
+              "parameters[1].data[2]: expected a number");
+    EXPECT_EQ(loadError([](util::Json &doc) {
+                  doc.asObject()["parameters"].asArray().pop_back();
+              }),
+              "parameters: expected an array of 6 tensors");
+}
+
+TEST(SleuthGnnModelFile, HugeDimensionIsRefusedBeforeAllocating)
+{
+    EXPECT_EQ(loadError([](util::Json &doc) {
+                  doc.asObject()["config"].set("hidden", 1e9);
+              }),
+              "config.hidden: expected an integer in [1, 4096], got "
+              "1000000000");
+    EXPECT_EQ(loadError([](util::Json &doc) {
+                  doc.asObject()["config"].set("embedDim", 0);
+              }),
+              "config.embedDim: expected an integer in [1, 1024], got 0");
+}
+
+TEST(SleuthGnnModelFile, UnknownAggregatorIsRefused)
+{
+    EXPECT_EQ(loadError([](util::Json &doc) {
+                  doc.asObject()["config"].set("aggregator", "sage");
+              }),
+              "config.aggregator: unknown aggregator 'sage'");
 }
 
 TEST(SleuthGnn, RejectsMismatchedFeatureWidth)

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <limits>
+
 #include "util/json.h"
 
 using sleuth::util::Json;
+using sleuth::util::JsonReader;
 
 TEST(Json, ParsesScalars)
 {
@@ -235,4 +240,85 @@ TEST(Json, CheckedGettersNameThePathAndBoundIntegers)
               "data[0].spans[1].x: missing field");
     EXPECT_EQ(underPath("[2]", "s: expected a string"),
               "[2].s: expected a string");
+}
+
+TEST(Json, OverflowingNumbersAreRejected)
+{
+    // strtod would return inf, which dump() cannot write back.
+    std::string err;
+    Json v = Json::parse("1e999", &err);
+    EXPECT_TRUE(v.isNull());
+    EXPECT_EQ(err, "number out of range at offset 5");
+    Json::parse("[1, -1e400]", &err);
+    EXPECT_EQ(err, "number out of range at offset 10");
+    // Underflow is no error: it reads as (nearly) zero.
+    v = Json::parse("1e-999", &err);
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_EQ(v.asNumber(), 0.0);
+    EXPECT_DOUBLE_EQ(Json::parse("1e300", &err).asNumber(), 1e300);
+}
+
+TEST(Json, NonFiniteNumbersDumpAsNull)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    Json obj = Json::object();
+    obj.set("nan", std::nan(""));
+    obj.set("inf", inf);
+    obj.set("ninf", -inf);
+    EXPECT_EQ(obj.dump(), R"({"inf":null,"nan":null,"ninf":null})");
+    std::string err;
+    Json back = Json::parse(obj.dump(2), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_TRUE(back.at("nan").isNull());
+}
+
+TEST(Json, NumbersReadAsStrtodReadsThem)
+{
+    std::string err;
+    // The integer fast path keeps strtod's -0.
+    EXPECT_TRUE(std::signbit(Json::parse("-0", &err).asNumber()));
+    EXPECT_EQ(Json::parse("123456789012345", &err).asInt(),
+              123456789012345);
+    for (const char *tok : {"1234567890123456789", "-007", "+5", "2.5e3",
+                            "0.1", "-9007199254740993"}) {
+        Json v = Json::parse(tok, &err);
+        ASSERT_TRUE(err.empty()) << tok << ": " << err;
+        EXPECT_EQ(v.asNumber(), std::strtod(tok, nullptr)) << tok;
+    }
+    Json::parse("1-2", &err);
+    EXPECT_EQ(err, "bad number at offset 3");
+}
+
+TEST(JsonReader, WalksSkipsAndFailsOnce)
+{
+    JsonReader r(R"( {"a": [1, "x\n", {"b": null}], "c": true} )");
+    JsonReader::Kind kind = JsonReader::Kind::Null;
+    ASSERT_TRUE(r.peek(&kind));
+    EXPECT_EQ(kind, JsonReader::Kind::Object);
+    ASSERT_TRUE(r.enter(JsonReader::Kind::Object));
+    std::string_view key;
+    ASSERT_TRUE(r.nextKey(&key));
+    EXPECT_EQ(key, "a");
+    ASSERT_TRUE(r.skipValue());
+    ASSERT_TRUE(r.nextKey(&key));
+    EXPECT_EQ(key, "c");
+    bool b = false;
+    ASSERT_TRUE(r.readBool(&b));
+    EXPECT_TRUE(b);
+    EXPECT_FALSE(r.nextKey(&key));
+    EXPECT_FALSE(r.failed());
+    EXPECT_TRUE(r.finish());
+
+    // The first defect sticks: later calls fail and keep its message.
+    JsonReader bad(R"(["a" "b"])");
+    ASSERT_TRUE(bad.enter(JsonReader::Kind::Array));
+    ASSERT_TRUE(bad.nextElement());
+    std::string_view s;
+    ASSERT_TRUE(bad.readString(&s));
+    EXPECT_EQ(s, "a");
+    EXPECT_FALSE(bad.nextElement());
+    EXPECT_TRUE(bad.failed());
+    EXPECT_FALSE(bad.readString(&s));
+    EXPECT_FALSE(bad.finish());
+    EXPECT_EQ(bad.error(), "expected ',' or ']' at offset 5");
 }

@@ -241,6 +241,40 @@ if(NOT out MATCHES "sleuth_pipeline_batches_total 1")
     message(FATAL_ERROR "metrics did not analyze the batch: ${out}")
 endif()
 
+# --- Model files: a malformed model is a recoverable error naming the
+# field, checked before anything is sized by it. Each edit used to
+# abort analyze and metrics (exit 134: json accessors, std::bad_alloc
+# for the huge hidden width) or, for the unknown aggregator, load
+# silently as GIN. ---
+
+file(READ ${WORK_DIR}/model.json model)
+function(expect_model_rejected name from to defect)
+    string(REGEX REPLACE "${from}" "${to}" edited "${model}")
+    if(edited STREQUAL model)
+        message(FATAL_ERROR "${name}: the edit changed nothing")
+    endif()
+    file(WRITE ${WORK_DIR}/${name}.json "${edited}")
+    foreach(cmd analyze metrics)
+        run_expect(1 out ${SLEUTH_BIN} ${cmd} --model ${WORK_DIR}/${name}.json
+                   --traces ${WORK_DIR}/records.json)
+        if(NOT out MATCHES "fatal: .*${name}\\.json: ${defect}")
+            message(FATAL_ERROR "${cmd} --model ${name}: no ${defect}: ${out}")
+        endif()
+    endforeach()
+endfunction()
+expect_model_rejected(model-embed-string "\"embedDim\":[0-9]+"
+    "\"embedDim\":\"x\"" "config\\.embedDim: expected a number")
+expect_model_rejected(model-no-config "\"config\":{[^}]*},?" ""
+    "config: missing field")
+expect_model_rejected(model-weight-string "\"data\":\\[[^],]+"
+    "\"data\":[\"x\"" "parameters\\[0\\]\\.data\\[0\\]: expected a number")
+expect_model_rejected(model-huge-hidden "\"hidden\":[0-9]+"
+    "\"hidden\":1e9"
+    "config\\.hidden: expected an integer in \\[1, 4096\\], got 1000000000")
+expect_model_rejected(model-sage "\"aggregator\":\"gin\""
+    "\"aggregator\":\"sage\""
+    "config\\.aggregator: unknown aggregator 'sage'")
+
 # More faults than the generated cluster has containers.
 run_expect(1 out ${SERVICED_BIN} --faults 999)
 if(NOT out MATCHES "--faults 999 exceeds the")

@@ -46,6 +46,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -181,6 +182,21 @@ loadAppConfig(const std::string &path)
     if (!synth::tryAppFromJson(parseFile(path), &app, &err))
         util::fatal(path, ": ", err);
     return app;
+}
+
+/**
+ * Load a trained model through the checked path: a malformed model
+ * file exits 1 naming the file and the field.
+ */
+core::SleuthGnn
+loadModel(const std::string &path)
+{
+    std::string err;
+    std::optional<core::SleuthGnn> model =
+        core::SleuthGnn::tryFromJson(parseFile(path), &err);
+    if (!model)
+        util::fatal(path, ": ", err);
+    return std::move(*model);
 }
 
 /**
@@ -396,8 +412,7 @@ cmdAnalyze(const Args &args)
 {
     size_t threads =
         static_cast<size_t>(args.getInt("threads", 1, 0, cli::kMaxThreads));
-    core::SleuthGnn model =
-        core::SleuthGnn::fromJson(parseFile(args.get("model")));
+    core::SleuthGnn model = loadModel(args.get("model"));
     core::FeatureEncoder encoder(model.config().embedDim);
 
     std::vector<TraceRecord> records =
@@ -523,8 +538,7 @@ cmdMetrics(const Args &args)
     }
 
     if (args.has("model")) {
-        core::SleuthGnn model =
-            core::SleuthGnn::fromJson(parseFile(args.get("model")));
+        core::SleuthGnn model = loadModel(args.get("model"));
         core::FeatureEncoder encoder(model.config().embedDim);
         AnalysisInput in = loadAnalysisInput(args, records);
         core::PipelineConfig cfg;
