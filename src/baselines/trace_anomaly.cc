@@ -118,9 +118,7 @@ TraceAnomalyRca::fit(const std::vector<trace::Trace> &corpus)
     }
 
     // --- Per-dimension residual scale for the three-sigma rule. ---
-    nn::Var enc = encoder_->forward(x);
-    nn::Var mu = nn::sliceCols(enc, 0, config_.latent);
-    nn::Tensor recon = decoder_->forward(mu)->value();
+    nn::Tensor recon = reconstruct(data);
     residualStd_.assign(dims, 1e-9);
     std::vector<double> mean(dims, 0.0);
     for (size_t r = 0; r < corpus.size(); ++r)
@@ -137,18 +135,24 @@ TraceAnomalyRca::fit(const std::vector<trace::Trace> &corpus)
         s = std::sqrt(s / static_cast<double>(corpus.size())) + 1e-6;
 }
 
+nn::Tensor
+TraceAnomalyRca::reconstruct(const nn::Tensor &x) const
+{
+    nn::Tensor enc = encoder_->infer(x);
+    nn::Tensor mu(enc.rows(), config_.latent);
+    for (size_t r = 0; r < enc.rows(); ++r)
+        for (size_t c = 0; c < config_.latent; ++c)
+            mu.at(r, c) = enc.at(r, c);
+    return decoder_->infer(std::move(mu));
+}
+
 std::vector<std::string>
 TraceAnomalyRca::locate(const trace::Trace &anomaly, int64_t slo_us)
 {
     (void)slo_us;
     SLEUTH_ASSERT(encoder_, "trace-anomaly not fitted");
     std::vector<double> v = encodeVector(anomaly);
-    nn::Tensor row(1, v.size());
-    for (size_t c = 0; c < v.size(); ++c)
-        row.at(0, c) = v[c];
-    nn::Var enc = encoder_->forward(nn::constant(row));
-    nn::Var mu = nn::sliceCols(enc, 0, config_.latent);
-    nn::Tensor recon = decoder_->forward(mu)->value();
+    nn::Tensor recon = reconstruct(nn::Tensor(1, v.size(), v));
 
     // Anomalous dims by the three-sigma rule on residuals (one-sided:
     // the observed duration exceeds the reconstructed normal).

@@ -60,6 +60,12 @@ class TraceAnomalyRca : public RcaAlgorithm
 
     std::vector<double> encodeVector(const trace::Trace &t) const;
 
+    /**
+     * Each row decoded from its latent mean (the encoder's first
+     * `latent` outputs), without the autograd tape.
+     */
+    nn::Tensor reconstruct(const nn::Tensor &x) const;
+
     Config config_;
     core::DurationScale scale_;
     std::unordered_map<std::string, PathInfo> paths_;

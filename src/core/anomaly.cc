@@ -28,7 +28,8 @@ double
 ModelDetector::score(const trace::Trace &trace)
 {
     trace::TraceGraph graph = trace::TraceGraph::build(trace);
-    TraceBatch batch = encoder_.encode(trace);
+    TraceBatch batch = encoder_.encode(
+        trace, graph, trace::computeExclusive(trace, graph));
 
     // All-normal counterfactual: every span at its operation's median
     // exclusive duration, no exclusive errors.

@@ -1,19 +1,51 @@
 #include "counterfactual.h"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
 #include <unordered_map>
 
 namespace sleuth::core {
 
 namespace {
 
-/** One candidate service and its suspicion score. */
+/** One candidate service (by its index) and its suspicion score. */
 struct CandidateScore
 {
-    std::string service;
+    size_t service = 0;
     double score = 0.0;
 };
+
+/**
+ * A trace's services mapped to small integers once per analysis, in
+ * first-appearance order, so restoration marks a vector, not a set.
+ */
+struct ServiceIndex
+{
+    /** Service index of each span. */
+    std::vector<size_t> ofSpan;
+    /** Service name of each index (views into the trace's spans). */
+    std::vector<std::string_view> names;
+
+    explicit ServiceIndex(const trace::Trace &trace)
+    {
+        std::unordered_map<std::string_view, size_t> ids;
+        ofSpan.reserve(trace.spans.size());
+        for (const trace::Span &s : trace.spans) {
+            auto [it, fresh] = ids.try_emplace(s.service, names.size());
+            if (fresh)
+                names.push_back(s.service);
+            ofSpan.push_back(it->second);
+        }
+    }
+};
+
+/** Client and producer spans also affiliate with their callees. */
+bool
+callsOut(const trace::Span &s)
+{
+    return s.kind == trace::SpanKind::Client ||
+           s.kind == trace::SpanKind::Producer;
+}
 
 /**
  * Rank a trace's candidate root-cause services by aggregate exclusive
@@ -21,6 +53,7 @@ struct CandidateScore
  * counterfactual restoration loop iterates, nonpositive scores
  * dropped, ties broken lexicographically.
  *
+ * @param normal_us each span's normal (median) exclusive duration
  * @param err_weight microseconds of excess duration one exclusive
  *        error is worth (RcaParams::errorWeightUs resolution applied
  *        by the caller)
@@ -29,52 +62,41 @@ std::vector<CandidateScore>
 rankCandidateServices(const trace::Trace &trace,
                       const trace::TraceGraph &graph,
                       const trace::ExclusiveMetrics &metrics,
-                      const NormalProfile &profile, double err_weight)
+                      const ServiceIndex &services,
+                      const std::vector<double> &normal_us,
+                      double err_weight)
 {
     // Rank candidate services by exclusive errors + excess exclusive
     // duration of their affiliated spans (§3.5). A client span
     // affiliates with the callee's service too, because network faults
-    // in the child service surface on the client side only.
-    const size_t n = trace.spans.size();
-    // Hashed accumulation: per-service sums are added in span order
-    // either way, and the final sort below is a strict total order, so
-    // the container choice cannot change the result — only the cost.
-    std::unordered_map<std::string, double> score;
-    score.reserve(n);
-    auto add_score = [&](const std::string &svc, double excess,
-                         bool excl_err) {
-        score[svc] += excess + (excl_err ? err_weight : 0.0);
-    };
-    for (size_t i = 0; i < n; ++i) {
+    // in the child service surface on the client side only. Each
+    // service's sum is added in span order, and the final sort below is
+    // a strict total order.
+    std::vector<double> score(services.names.size(), 0.0);
+    for (size_t i = 0; i < trace.spans.size(); ++i) {
         const trace::Span &s = trace.spans[i];
         double excess = std::max(
-            0.0, static_cast<double>(metrics.exclusiveUs[i]) -
-                     profile.medianExclusiveUs(s.service, s.name,
-                                               s.kind));
-        add_score(s.service, excess, metrics.exclusiveError[i]);
-        if (s.kind == trace::SpanKind::Client ||
-            s.kind == trace::SpanKind::Producer) {
+            0.0, static_cast<double>(metrics.exclusiveUs[i]) - normal_us[i]);
+        double add = excess + (metrics.exclusiveError[i] ? err_weight : 0.0);
+        size_t own = services.ofSpan[i];
+        score[own] += add;
+        if (callsOut(s))
             for (int c : graph.children(static_cast<int>(i))) {
-                const trace::Span &child =
-                    trace.spans[static_cast<size_t>(c)];
-                if (child.service != s.service)
-                    add_score(child.service, excess,
-                              metrics.exclusiveError[i]);
+                size_t callee = services.ofSpan[static_cast<size_t>(c)];
+                if (callee != own)
+                    score[callee] += add;
             }
-        }
     }
     std::vector<CandidateScore> ranked;
-    ranked.reserve(score.size());
-    for (const auto &[svc, sc] : score)
-        ranked.push_back({svc, sc});
+    for (size_t v = 0; v < score.size(); ++v)
+        if (score[v] > 0.0)
+            ranked.push_back({v, score[v]});
     std::sort(ranked.begin(), ranked.end(),
-              [](const CandidateScore &a, const CandidateScore &b) {
+              [&](const CandidateScore &a, const CandidateScore &b) {
         if (a.score != b.score)
             return a.score > b.score;
-        return a.service < b.service;
+        return services.names[a.service] < services.names[b.service];
     });
-    while (!ranked.empty() && ranked.back().score <= 0.0)
-        ranked.pop_back();
     return ranked;
 }
 
@@ -96,19 +118,24 @@ CounterfactualRca::analyze(const trace::Trace &trace, int64_t slo_us) const
     trace::TraceGraph graph = trace::TraceGraph::build(trace);
     trace::ExclusiveMetrics metrics =
         trace::computeExclusive(trace, graph);
-    TraceBatch batch = encoder_.encode(trace);
     const size_t n = trace.spans.size();
+    ServiceIndex services(trace);
+    std::vector<double> normal_us(n);
+    for (size_t i = 0; i < n; ++i) {
+        const trace::Span &s = trace.spans[i];
+        normal_us[i] = profile_.medianExclusiveUs(s.service, s.name, s.kind);
+    }
 
     double err_weight = params_.errorWeightUs > 0.0
         ? params_.errorWeightUs
         : static_cast<double>(std::max<int64_t>(slo_us, 1));
-    std::vector<CandidateScore> ranked =
-        rankCandidateServices(trace, graph, metrics, profile_,
-                              err_weight);
+    std::vector<CandidateScore> ranked = rankCandidateServices(
+        trace, graph, metrics, services, normal_us, err_weight);
     if (ranked.empty())
         return result;
 
     // --- Iteratively restore services and ask the counterfactual. ---
+    TraceBatch batch = encoder_.encode(trace, graph, metrics);
     std::vector<NodeState> observed(n);
     for (size_t i = 0; i < n; ++i) {
         observed[i].exclusiveUs =
@@ -131,40 +158,33 @@ CounterfactualRca::analyze(const trace::Trace &trace, int64_t slo_us) const
                           bias * params_.sloSlack;
 
     size_t limit = std::min(params_.maxRootCauses, ranked.size());
-    std::set<std::string> restored;
+    std::vector<char> restored(services.names.size(), 0);
     for (size_t k = 0; k < limit; ++k) {
-        restored.insert(ranked[k].service);
-        result.services.push_back(ranked[k].service);
+        restored[ranked[k].service] = 1;
+        result.services.emplace_back(services.names[ranked[k].service]);
 
         std::vector<NodeState> states = observed;
         std::vector<int> dirty;
         for (size_t i = 0; i < n; ++i) {
-            const trace::Span &s = trace.spans[i];
-            bool restore = restored.count(s.service) > 0;
-            if (!restore && (s.kind == trace::SpanKind::Client ||
-                             s.kind == trace::SpanKind::Producer)) {
+            bool restore = restored[services.ofSpan[i]];
+            if (!restore && callsOut(trace.spans[i])) {
                 // Client-side symptoms clear when the callee recovers.
                 for (int c : graph.children(static_cast<int>(i)))
-                    restore |= restored.count(
-                        trace.spans[static_cast<size_t>(c)].service) >
-                        0;
+                    restore |= restored[services.ofSpan[
+                        static_cast<size_t>(c)]] != 0;
             }
             if (!restore)
                 continue;
-            double normal = profile_.medianExclusiveUs(
-                s.service, s.name, s.kind);
             states[i].exclusiveUs =
-                std::min(states[i].exclusiveUs, normal);
+                std::min(states[i].exclusiveUs, normal_us[i]);
             states[i].exclusiveErr = 0.0;
             if (states[i].exclusiveUs != observed[i].exclusiveUs ||
                 states[i].exclusiveErr != observed[i].exclusiveErr)
                 dirty.push_back(static_cast<int>(i));
         }
 
-        TracePrediction pred = params_.incrementalPropagation
-            ? model_.propagateFrom(batch, graph, states, baseline,
-                                   dirty)
-            : model_.propagate(batch, graph, states);
+        TracePrediction pred =
+            model_.propagateFrom(batch, graph, states, baseline, dirty);
         ++result.iterations;
         bool latency_ok = pred.rootDurationUs <= adjusted_slo;
         // Error check: model-predicted recovery, or — analytically —
@@ -184,11 +204,10 @@ CounterfactualRca::analyze(const trace::Trace &trace, int64_t slo_us) const
     }
 
     // --- Locate pods/nodes/containers of the implicated services. ---
-    std::set<std::string> svc_set(result.services.begin(),
-                                  result.services.end());
-    for (const trace::Span &s : trace.spans) {
-        if (!svc_set.count(s.service))
+    for (size_t i = 0; i < n; ++i) {
+        if (!restored[services.ofSpan[i]])
             continue;
+        const trace::Span &s = trace.spans[i];
         if (!s.pod.empty())
             result.pods.insert(s.pod);
         if (!s.node.empty())

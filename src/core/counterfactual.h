@@ -48,15 +48,6 @@ struct RcaParams
      * the trace's SLO.
      */
     double errorWeightUs = 0.0;
-    /**
-     * Answer each counterfactual with SleuthGnn::propagateFrom —
-     * re-evaluating only the restored spans and their ancestor chains
-     * against the memoized baseline — instead of re-running the full
-     * bottom-up pass per candidate. Numerically identical verdicts
-     * (the recomputed closure is exact); kept as a switch for the
-     * perf ablation.
-     */
-    bool incrementalPropagation = true;
 };
 
 /** Output of one RCA query. */
@@ -97,7 +88,10 @@ class CounterfactualRca
                       RcaParams params = {});
 
     /**
-     * Locate the root causes of an anomalous trace.
+     * Locate the root causes of an anomalous trace. The trace graph is
+     * built once per call; each counterfactual is answered with
+     * SleuthGnn::propagateFrom against the observed baseline, on the
+     * tape-free inference path.
      *
      * @param trace the anomalous trace
      * @param slo_us the latency SLO the trace is held against

@@ -110,64 +110,90 @@ FeatureEncoder::FeatureEncoder(size_t embed_dim, DurationScale scale)
 {
 }
 
+namespace {
+
+/** A zero-filled batch of `nodes` feature rows, `dim` wide. */
+TraceBatch
+sizedBatch(size_t nodes, size_t dim)
+{
+    TraceBatch batch;
+    batch.numNodes = nodes;
+    batch.x = nn::Tensor(nodes, dim);
+    batch.xExcl = nn::Tensor(nodes, dim);
+    return batch;
+}
+
+} // namespace
+
+void
+FeatureEncoder::encodeRows(const trace::Trace &t,
+                           const trace::TraceGraph &graph,
+                           const trace::ExclusiveMetrics &m, size_t base,
+                           TraceBatch *batch)
+{
+    const size_t dim = featureDim();
+    const size_t ecols = embedder_.dim();
+    batch->traceOffset.push_back(base);
+    batch->traceRoot.push_back(base + static_cast<size_t>(graph.root()));
+    for (size_t i = 0; i < t.spans.size(); ++i) {
+        const trace::Span &s = t.spans[i];
+        size_t row = base + i;
+        // Semantic embedding of service + operation + kind, cached per
+        // distinct string (paper's pointer optimization).
+        const std::vector<double> &emb = embedder_.embed(
+            s.service + " " + s.name + " " + toString(s.kind));
+        // Contiguous row copies instead of per-element at(): the
+        // embedding block dominates the feature row.
+        double *xrow = batch->x.data().data() + row * dim;
+        double *erow = batch->xExcl.data().data() + row * dim;
+        std::copy(emb.begin(), emb.begin() + ecols, xrow);
+        std::copy(emb.begin(), emb.begin() + ecols, erow);
+        xrow[ecols] = scale_.scaleUs(static_cast<double>(s.durationUs()));
+        xrow[ecols + 1] = s.hasError() ? 1.0 : 0.0;
+        erow[ecols] =
+            scale_.scaleUs(static_cast<double>(m.exclusiveUs[i]));
+        erow[ecols + 1] = m.exclusiveError[i] ? 1.0 : 0.0;
+
+        int p = graph.parent(static_cast<int>(i));
+        if (p >= 0) {
+            batch->edgeChild.push_back(row);
+            batch->edgeParent.push_back(base + static_cast<size_t>(p));
+        }
+    }
+}
+
 TraceBatch
 FeatureEncoder::encode(const std::vector<const trace::Trace *> &traces)
 {
     size_t total = 0;
     for (const trace::Trace *t : traces)
         total += t->spans.size();
-
-    TraceBatch batch;
-    batch.numNodes = total;
-    const size_t dim = featureDim();
-    const size_t ecols = embedder_.dim();
-    batch.x = nn::Tensor(total, dim);
-    batch.xExcl = nn::Tensor(total, dim);
-
+    TraceBatch batch = sizedBatch(total, featureDim());
     size_t base = 0;
     for (const trace::Trace *t : traces) {
         trace::TraceGraph graph = trace::TraceGraph::build(*t);
-        trace::ExclusiveMetrics m = trace::computeExclusive(*t, graph);
-        batch.traceOffset.push_back(base);
-        batch.traceRoot.push_back(base +
-                                  static_cast<size_t>(graph.root()));
-        for (size_t i = 0; i < t->spans.size(); ++i) {
-            const trace::Span &s = t->spans[i];
-            size_t row = base + i;
-            // Semantic embedding of service + operation + kind, cached
-            // per distinct string (paper's pointer optimization).
-            const std::vector<double> &emb = embedder_.embed(
-                s.service + " " + s.name + " " + toString(s.kind));
-            // Contiguous row copies instead of per-element at(): the
-            // embedding block dominates the feature row.
-            double *xrow = batch.x.data().data() + row * dim;
-            double *erow = batch.xExcl.data().data() + row * dim;
-            std::copy(emb.begin(), emb.begin() + ecols, xrow);
-            std::copy(emb.begin(), emb.begin() + ecols, erow);
-            batch.x.at(row, ecols) = scale_.scaleUs(
-                static_cast<double>(s.durationUs()));
-            batch.x.at(row, ecols + 1) = s.hasError() ? 1.0 : 0.0;
-            batch.xExcl.at(row, ecols) = scale_.scaleUs(
-                static_cast<double>(m.exclusiveUs[i]));
-            batch.xExcl.at(row, ecols + 1) =
-                m.exclusiveError[i] ? 1.0 : 0.0;
-
-            int p = graph.parent(static_cast<int>(i));
-            if (p >= 0) {
-                batch.edgeChild.push_back(row);
-                batch.edgeParent.push_back(base +
-                                           static_cast<size_t>(p));
-            }
-        }
+        encodeRows(*t, graph, trace::computeExclusive(*t, graph), base,
+                   &batch);
         base += t->spans.size();
     }
     return batch;
 }
 
 TraceBatch
+FeatureEncoder::encode(const trace::Trace &trace,
+                       const trace::TraceGraph &graph,
+                       const trace::ExclusiveMetrics &metrics)
+{
+    TraceBatch batch = sizedBatch(trace.spans.size(), featureDim());
+    encodeRows(trace, graph, metrics, 0, &batch);
+    return batch;
+}
+
+TraceBatch
 FeatureEncoder::encode(const trace::Trace &trace)
 {
-    return encode(std::vector<const trace::Trace *>{&trace});
+    trace::TraceGraph graph = trace::TraceGraph::build(trace);
+    return encode(trace, graph, trace::computeExclusive(trace, graph));
 }
 
 } // namespace sleuth::core

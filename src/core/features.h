@@ -142,6 +142,14 @@ class FeatureEncoder
     /** Encode a single trace. */
     TraceBatch encode(const trace::Trace &trace);
 
+    /**
+     * Encode a single trace whose graph and exclusive metrics the
+     * caller already built (the same batch as encode(trace)).
+     */
+    TraceBatch encode(const trace::Trace &trace,
+                      const trace::TraceGraph &graph,
+                      const trace::ExclusiveMetrics &metrics);
+
     /** Width of the node feature vectors. */
     size_t featureDim() const { return embedder_.dim() + 2; }
 
@@ -152,6 +160,14 @@ class FeatureEncoder
     embed::TextEmbedder &embedder() { return embedder_; }
 
   private:
+    /**
+     * Write trace t's feature rows from node `base` on, with its edges,
+     * offset and root, into a batch sized to hold them.
+     */
+    void encodeRows(const trace::Trace &t, const trace::TraceGraph &graph,
+                    const trace::ExclusiveMetrics &m, size_t base,
+                    TraceBatch *batch);
+
     embed::TextEmbedder embedder_;
     DurationScale scale_;
 };

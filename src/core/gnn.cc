@@ -204,8 +204,7 @@ SleuthGnn::propagateNode(const TraceBatch &batch,
                 input.at(k, d + col) = agg;
             }
         }
-        nn::Tensor h =
-            mlp_.forward(nn::constant(std::move(input)))->value();
+        nn::Tensor h = mlp_.infer(std::move(input));
         auto unscale_clamped = [&](double v) {
             double z = std::clamp(sc.sigma * v + sc.mu, kLogLo,
                                   kLogHi);

@@ -118,7 +118,8 @@ class SleuthGnn
     /**
      * Counterfactual propagation over a single trace: children's
      * predicted (not observed) states feed their parents, so deep
-     * interventions surface at the root (paper §3.5).
+     * interventions surface at the root (paper §3.5). Inference only:
+     * the MLP runs through Mlp::infer, without the autograd tape.
      *
      * @param batch single-trace encoding (node order = span order)
      * @param graph the trace's dependency graph
@@ -137,10 +138,11 @@ class SleuthGnn
      * An intervention on node i can only alter the predictions of i
      * and its ancestors (a sibling subtree's inputs are untouched), so
      * each counterfactual candidate costs O(depth · fanout) MLP
-     * forwards instead of re-running the whole trace. The result is
+     * inferences instead of re-running the whole trace. The result is
      * bitwise identical to propagate(batch, graph, states) because
      * clean nodes' predictions are a deterministic function of their
-     * unchanged subtrees.
+     * unchanged subtrees. CounterfactualRca answers every
+     * counterfactual with it; propagate() stays the reference.
      *
      * @param batch single-trace encoding (node order = span order)
      * @param graph the trace's dependency graph

@@ -145,14 +145,8 @@ mul(const Var &a, const Var &b)
 Var
 addRow(const Var &a, const Var &row)
 {
-    const Tensor &av = a->value();
-    const Tensor &rv = row->value();
-    SLEUTH_ASSERT(rv.rows() == 1 && rv.cols() == av.cols(),
-                  "addRow expects a 1xC row vector");
-    Tensor out = av;
-    for (size_t i = 0; i < av.rows(); ++i)
-        for (size_t j = 0; j < av.cols(); ++j)
-            out.at(i, j) += rv.at(0, j);
+    Tensor out = a->value();
+    out.addRowInPlace(row->value());
     return makeNode(std::move(out), anyRequiresGrad({a, row}), {a, row},
                     [a, row](Node &self) {
         const Tensor &g = self.grad();
@@ -272,7 +266,7 @@ Var
 relu(const Var &a)
 {
     return unaryOp(
-        a, [](double x) { return x > 0.0 ? x : 0.0; },
+        a, [](double x) { return reluValue(x); },
         [](double x, double) { return x > 0.0 ? 1.0 : 0.0; });
 }
 
@@ -280,7 +274,7 @@ Var
 sigmoid(const Var &a)
 {
     return unaryOp(
-        a, [](double x) { return 1.0 / (1.0 + std::exp(-x)); },
+        a, [](double x) { return sigmoidValue(x); },
         [](double, double y) { return y * (1.0 - y); });
 }
 
@@ -288,7 +282,7 @@ Var
 tanhOp(const Var &a)
 {
     return unaryOp(
-        a, [](double x) { return std::tanh(x); },
+        a, [](double x) { return tanhValue(x); },
         [](double, double y) { return 1.0 - y * y; });
 }
 

@@ -14,6 +14,7 @@
  * accumulate in each leaf's grad() tensor.
  */
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -108,6 +109,13 @@ Var addScalar(const Var &a, double s);
 Var matmul(const Var &a, const Var &b);
 /** Elementwise max of same-shape tensors (gradient to the winner). */
 Var maxElem(const Var &a, const Var &b);
+/**
+ * The activations' forward formulas, shared by relu / sigmoid / tanhOp
+ * and the tape-free Mlp::infer so the two paths cannot drift apart.
+ */
+inline double reluValue(double x) { return x > 0.0 ? x : 0.0; }
+inline double sigmoidValue(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+inline double tanhValue(double x) { return std::tanh(x); }
 /** Rectified linear unit. */
 Var relu(const Var &a);
 /** Logistic sigmoid. */

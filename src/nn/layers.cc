@@ -4,6 +4,32 @@
 
 namespace sleuth::nn {
 
+namespace {
+
+/** activate() on a Tensor's elements in place, without the tape. */
+void
+activateInPlace(Tensor &x, Activation act)
+{
+    switch (act) {
+      case Activation::None: return;
+      case Activation::Relu:
+        for (double &v : x.data())
+            v = reluValue(v);
+        return;
+      case Activation::Sigmoid:
+        for (double &v : x.data())
+            v = sigmoidValue(v);
+        return;
+      case Activation::Tanh:
+        for (double &v : x.data())
+            v = tanhValue(v);
+        return;
+    }
+    util::panic("invalid activation");
+}
+
+} // namespace
+
 Linear::Linear(size_t in, size_t out, util::Rng &rng)
 {
     SLEUTH_ASSERT(in > 0 && out > 0, "linear layer shape");
@@ -16,6 +42,14 @@ Var
 Linear::forward(const Var &x) const
 {
     return addRow(matmul(x, weight_), bias_);
+}
+
+Tensor
+Linear::infer(const Tensor &x) const
+{
+    Tensor out = x.matmul(weight_->value());
+    out.addRowInPlace(bias_->value());
+    return out;
 }
 
 Mlp::Mlp(const std::vector<size_t> &widths, Activation hidden,
@@ -34,6 +68,17 @@ Mlp::forward(Var x) const
         x = layers_[i].forward(x);
         if (i + 1 < layers_.size())
             x = activate(x, hidden_);
+    }
+    return x;
+}
+
+Tensor
+Mlp::infer(Tensor x) const
+{
+    for (size_t i = 0; i < layers_.size(); ++i) {
+        x = layers_[i].infer(x);
+        if (i + 1 < layers_.size())
+            activateInPlace(x, hidden_);
     }
     return x;
 }

@@ -28,6 +28,9 @@ class Linear
     /** Forward pass: x is Nxin, the result is Nxout. */
     Var forward(const Var &x) const;
 
+    /** forward() without the autograd tape, bitwise equal to it. */
+    Tensor infer(const Tensor &x) const;
+
     /** Trainable parameters (weight then bias). */
     std::vector<Var> parameters() const { return {weight_, bias_}; }
 
@@ -57,6 +60,13 @@ class Mlp
 
     /** Forward pass over a batch of rows. */
     Var forward(Var x) const;
+
+    /**
+     * Inference without the autograd tape: the same kernels in the same
+     * order as forward(), so infer(x) equals
+     * forward(constant(x))->value() bit for bit.
+     */
+    Tensor infer(Tensor x) const;
 
     /** All trainable parameters, in layer order. */
     std::vector<Var> parameters() const;

@@ -50,6 +50,15 @@ Tensor::addInPlace(const Tensor &other)
 }
 
 void
+Tensor::addRowInPlace(const Tensor &row)
+{
+    SLEUTH_ASSERT(row.rows_ == 1 && row.cols_ == cols_,
+                  "addRow expects a 1xC row vector");
+    for (size_t i = 0; i < rows_; ++i)
+        simd::add(data_.data() + i * cols_, row.data_.data(), cols_);
+}
+
+void
 Tensor::scaleInPlace(double s)
 {
     simd::scale(data_.data(), s, data_.size());
@@ -61,16 +70,10 @@ Tensor::matmul(const Tensor &other) const
     SLEUTH_ASSERT(cols_ == other.rows_, "matmul shape mismatch: ",
                   rows_, "x", cols_, " * ", other.rows_, "x", other.cols_);
     Tensor out(rows_, other.cols_);
-    for (size_t i = 0; i < rows_; ++i) {
-        for (size_t k = 0; k < cols_; ++k) {
-            double a = data_[i * cols_ + k];
-            if (a == 0.0)
-                continue;
-            const double *brow = &other.data_[k * other.cols_];
-            double *orow = &out.data_[i * other.cols_];
-            simd::axpy(orow, a, brow, other.cols_);
-        }
-    }
+    for (size_t i = 0; i < rows_; ++i)
+        simd::matmulRow(out.data_.data() + i * other.cols_,
+                        data_.data() + i * cols_, cols_,
+                        other.data_.data(), other.cols_);
     return out;
 }
 

@@ -85,6 +85,9 @@ class Tensor
     /** this += other (same shape). */
     void addInPlace(const Tensor &other);
 
+    /** this[i][j] += row[0][j] for every row i (row is 1 x cols). */
+    void addRowInPlace(const Tensor &row);
+
     /** this *= scalar. */
     void scaleInPlace(double s);
 

@@ -166,6 +166,12 @@ class JsonReader
 
     bool failed() const { return failed_; }
     const std::string &error() const { return error_; }
+    /**
+     * Offset of the next unread byte. Taken before and after
+     * skipValue(), it brackets the value's text (with any whitespace
+     * before it).
+     */
+    size_t offset() const { return pos_; }
 
   private:
     bool fail(const char *why);

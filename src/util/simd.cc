@@ -65,6 +65,16 @@ axpy(double *y, double a, const double *x, size_t n)
 }
 
 void
+matmulRow(double *out, const double *a, size_t k, const double *b, size_t n)
+{
+    for (size_t t = 0; t < k; ++t) {
+        if (a[t] == 0.0)
+            continue;
+        axpy(out, a[t], b + t * n, n);
+    }
+}
+
+void
 add(double *acc, const double *x, size_t n)
 {
     for (size_t i = 0; i < n; ++i)
@@ -178,6 +188,57 @@ axpy(double *y, double a, const double *x, size_t n)
     }
     for (; i < n; ++i)
         y[i] += a * x[i];
+}
+
+/** acc + va * b[0..3]: axpy's lane step. */
+__attribute__((target("avx2"))) inline __m256d
+mulAdd(__m256d acc, __m256d va, const double *b)
+{
+    return _mm256_add_pd(acc, _mm256_mul_pd(va, _mm256_loadu_pd(b)));
+}
+
+__attribute__((target("avx2"))) void
+matmulRow(double *out, const double *a, size_t k, const double *b, size_t n)
+{
+    // A 16-column block of `out` stays in four registers across the
+    // whole t loop; then 4-column blocks, then single columns. Every
+    // element still gets out + a[t] * b[t][j] for each nonzero a[t] in
+    // ascending t, as one axpy per a[t] would give it.
+    size_t j = 0;
+    for (; j + 16 <= n; j += 16) {
+        __m256d o0 = _mm256_loadu_pd(out + j);
+        __m256d o1 = _mm256_loadu_pd(out + j + 4);
+        __m256d o2 = _mm256_loadu_pd(out + j + 8);
+        __m256d o3 = _mm256_loadu_pd(out + j + 12);
+        for (size_t t = 0; t < k; ++t) {
+            if (a[t] == 0.0)
+                continue;
+            const __m256d va = _mm256_set1_pd(a[t]);
+            const double *brow = b + t * n + j;
+            o0 = mulAdd(o0, va, brow);
+            o1 = mulAdd(o1, va, brow + 4);
+            o2 = mulAdd(o2, va, brow + 8);
+            o3 = mulAdd(o3, va, brow + 12);
+        }
+        _mm256_storeu_pd(out + j, o0);
+        _mm256_storeu_pd(out + j + 4, o1);
+        _mm256_storeu_pd(out + j + 8, o2);
+        _mm256_storeu_pd(out + j + 12, o3);
+    }
+    for (; j + 4 <= n; j += 4) {
+        __m256d o = _mm256_loadu_pd(out + j);
+        for (size_t t = 0; t < k; ++t)
+            if (a[t] != 0.0)
+                o = mulAdd(o, _mm256_set1_pd(a[t]), b + t * n + j);
+        _mm256_storeu_pd(out + j, o);
+    }
+    for (; j < n; ++j) {
+        double o = out[j];
+        for (size_t t = 0; t < k; ++t)
+            if (a[t] != 0.0)
+                o += a[t] * b[t * n + j];
+        out[j] = o;
+    }
 }
 
 __attribute__((target("avx2"))) void
@@ -311,6 +372,12 @@ axpy(double *y, double a, const double *x, size_t n)
 }
 
 void
+matmulRow(double *out, const double *a, size_t k, const double *b, size_t n)
+{
+    scalar::matmulRow(out, a, k, b, n);
+}
+
+void
 add(double *acc, const double *x, size_t n)
 {
     scalar::add(acc, x, n);
@@ -359,6 +426,15 @@ axpy(double *y, double a, const double *x, size_t n)
         avx2::axpy(y, a, x, n);
     else
         scalar::axpy(y, a, x, n);
+}
+
+void
+matmulRow(double *out, const double *a, size_t k, const double *b, size_t n)
+{
+    if (active())
+        avx2::matmulRow(out, a, k, b, n);
+    else
+        scalar::matmulRow(out, a, k, b, n);
 }
 
 void

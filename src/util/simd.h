@@ -66,6 +66,17 @@ class ScopedForceScalar
 /** y[i] += a * x[i]. Elementwise: bitwise-stable under any dispatch. */
 void axpy(double *y, double a, const double *x, size_t n);
 
+/**
+ * One row of a matrix product: out[j] += a[t] * b[t*n + j] for t in
+ * ascending order, skipping every t with a[t] == 0.0 (that skip decides
+ * signed zeros and inf/NaN propagation). Each output element sees the
+ * same mul-then-add sequence as one axpy per nonzero a[t], so the result
+ * is bitwise-equal to that loop; the AVX2 body keeps 16-column blocks of
+ * `out` in registers across the whole t loop.
+ */
+void matmulRow(double *out, const double *a, size_t k, const double *b,
+               size_t n);
+
 /** acc[i] += x[i]. Elementwise. */
 void add(double *acc, const double *x, size_t n);
 
@@ -105,6 +116,8 @@ double sortedIntersectMinSum(const uint64_t *ka, const double *wa,
 
 namespace scalar {
 void axpy(double *y, double a, const double *x, size_t n);
+void matmulRow(double *out, const double *a, size_t k, const double *b,
+               size_t n);
 void add(double *acc, const double *x, size_t n);
 void scale(double *x, double s, size_t n);
 void div(double *x, double s, size_t n);
@@ -119,6 +132,8 @@ double sortedIntersectMinSum(const uint64_t *ka, const double *wa,
 
 namespace avx2 {
 void axpy(double *y, double a, const double *x, size_t n);
+void matmulRow(double *out, const double *a, size_t k, const double *b,
+               size_t n);
 void add(double *acc, const double *x, size_t n);
 void scale(double *x, double s, size_t n);
 void div(double *x, double s, size_t n);

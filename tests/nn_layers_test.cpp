@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/layers.h"
 #include "nn/optim.h"
@@ -34,6 +35,40 @@ TEST(Mlp, ParameterCount)
     EXPECT_EQ(mlp.parameters().size(), 6u);
     EXPECT_EQ(mlp.inFeatures(), 4u);
     EXPECT_EQ(mlp.outFeatures(), 3u);
+}
+
+TEST(Mlp, InferBitwiseEqualsForward)
+{
+    sleuth::util::Rng rng(5);
+    // Widths on both sides of matmulRow's 4- and 16-column blocks.
+    for (Activation act : {Activation::None, Activation::Relu,
+                           Activation::Sigmoid, Activation::Tanh}) {
+        Mlp mlp({6, 17, 32, 5}, act, rng);
+        // Random biases too: their zero start would hide a dropped add.
+        for (const Var &p : mlp.parameters())
+            for (double &v : p->mutableValue().data())
+                v = rng.uniform(-1.0, 1.0);
+        for (size_t rows : {size_t{1}, size_t{3}, size_t{7}}) {
+            Tensor x(rows, 6);
+            for (double &v : x.data())
+                v = rng.uniform(-3.0, 3.0);
+            // Exact zeros of both signs and negatives in every row.
+            for (size_t r = 0; r < rows; ++r) {
+                x.at(r, 0) = 0.0;
+                x.at(r, 1) = -0.0;
+                x.at(r, 2) = -std::abs(x.at(r, 2));
+            }
+            Tensor taped = mlp.forward(constant(x))->value();
+            Tensor inferred = mlp.infer(x);
+            ASSERT_TRUE(inferred.sameShape(taped));
+            EXPECT_EQ(std::memcmp(inferred.data().data(),
+                                  taped.data().data(),
+                                  taped.size() * sizeof(double)),
+                      0)
+                << "activation " << static_cast<int>(act) << ", " << rows
+                << " rows";
+        }
+    }
 }
 
 TEST(Mlp, LearnsXor)

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "distance/distance_matrix.h"
@@ -34,6 +35,15 @@ randomVec(util::Rng &rng, size_t n, double lo = -3.0, double hi = 3.0)
     for (double &x : v)
         x = rng.uniform(lo, hi);
     return v;
+}
+
+/** Bitwise equality: tells -0.0 from 0.0 and matches NaN payloads. */
+bool
+sameBits(const std::vector<double> &x, const std::vector<double> &y)
+{
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
 }
 
 /** True when the avx2:: symbols run actual AVX2 bodies. */
@@ -95,6 +105,43 @@ TEST(SimdKernels, ElementwiseBitwiseEqualAcrossTails)
         simd::scalar::div(ds.data(), s, n);
         simd::avx2::div(dv.data(), s, n);
         EXPECT_EQ(ds, dv) << "div n=" << n;
+    }
+}
+
+TEST(SimdKernels, MatmulRowBitwiseEqualAcrossTails)
+{
+    util::Rng rng(0xe5);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (size_t n : {size_t{0}, size_t{1}, size_t{4}, size_t{5},
+                     size_t{16}, size_t{17}, size_t{32}, size_t{33},
+                     size_t{36}}) {
+        for (size_t k : {size_t{0}, size_t{1}, size_t{7}, size_t{36}}) {
+            std::vector<double> a = randomVec(rng, k);
+            std::vector<double> b = randomVec(rng, k * n);
+            // A zero of either sign skips its row of b: the inf or NaN
+            // planted there must not reach the output, and a skipped
+            // step leaves a -0.0 in `out` as it is.
+            for (size_t t = 0; t < k; t += 2) {
+                a[t] = t % 4 == 0 ? 0.0 : -0.0;
+                if (n > 0)
+                    b[t * n] = t % 4 == 0 ? inf : nan;
+            }
+            std::vector<double> out = randomVec(rng, n);
+            if (n > 0)
+                out[0] = -0.0;
+            std::vector<double> ref = out;
+            for (size_t t = 0; t < k; ++t)
+                if (a[t] != 0.0)
+                    simd::scalar::axpy(ref.data(), a[t], b.data() + t * n, n);
+            std::vector<double> s = out, v = out;
+            simd::scalar::matmulRow(s.data(), a.data(), k, b.data(), n);
+            EXPECT_TRUE(sameBits(ref, s)) << "scalar n=" << n << " k=" << k;
+            if (!avx2Live())
+                continue;
+            simd::avx2::matmulRow(v.data(), a.data(), k, b.data(), n);
+            EXPECT_TRUE(sameBits(s, v)) << "avx2 n=" << n << " k=" << k;
+        }
     }
 }
 
@@ -230,13 +277,37 @@ TEST(SimdKernels, MinSemanticsMatchMinpdOnTies)
     }
 }
 
+namespace {
+
+/** The pinned matmul semantics: one axpy per nonzero a[i][t]. */
+nn::Tensor
+axpyMatmul(const nn::Tensor &a, const nn::Tensor &b)
+{
+    nn::Tensor out(a.rows(), b.cols());
+    for (size_t i = 0; i < a.rows(); ++i)
+        for (size_t t = 0; t < a.cols(); ++t) {
+            const double at = a.at(i, t);
+            if (at == 0.0)
+                continue;
+            for (size_t j = 0; j < b.cols(); ++j)
+                out.at(i, j) += at * b.at(t, j);
+        }
+    return out;
+}
+
+} // namespace
+
 TEST(SimdMatmul, BitwiseIdenticalAcrossDispatchAtTailSizes)
 {
     util::Rng rng(0xf6);
-    // Shapes straddling the 4-wide block in every dimension.
-    const size_t shapes[][3] = {{1, 1, 1},   {3, 7, 5},  {4, 8, 4},
-                                {5, 9, 7},   {8, 31, 9}, {9, 33, 8},
-                                {16, 16, 16}};
+    // Shapes straddling the 4-wide block in every dimension, and the
+    // 16-column register block of matmulRow at the GNN's widths (36
+    // inputs, 32 hidden, 5 outputs) and both sides of each block edge.
+    const size_t shapes[][3] = {
+        {1, 1, 1},   {3, 7, 5},   {4, 8, 4},   {5, 9, 7},
+        {8, 31, 9},  {9, 33, 8},  {16, 16, 16}, {3, 36, 32},
+        {7, 32, 32}, {7, 32, 5},  {2, 9, 17},  {3, 5, 33},
+        {4, 36, 36}, {1, 32, 16}};
     for (const auto &sh : shapes) {
         nn::Tensor a(sh[0], sh[1]);
         nn::Tensor b(sh[1], sh[2]);
@@ -244,6 +315,12 @@ TEST(SimdMatmul, BitwiseIdenticalAcrossDispatchAtTailSizes)
         nn::Tensor at(sh[1], sh[0]);
         for (double &x : a.data())
             x = rng.uniform(-2.0, 2.0);
+        // Exact zeros of both signs take the skip path: a relu hidden
+        // layer feeds the next matmul rows like these.
+        for (size_t t = 0; t < a.size(); t += 3)
+            a.data()[t] = (t / 3) % 2 == 0 ? 0.0 : -0.0;
+        for (size_t t = 0; t < a.cols(); ++t)
+            a.at(0, t) = 0.0;
         for (double &x : b.data())
             x = rng.uniform(-2.0, 2.0);
         for (double &x : bt.data())
@@ -254,8 +331,10 @@ TEST(SimdMatmul, BitwiseIdenticalAcrossDispatchAtTailSizes)
         nn::Tensor mm_on = a.matmul(b);
         nn::Tensor ta_on = at.matmulTransposedA(b);
         nn::Tensor tb_on = a.matmulTransposedB(bt);
+        EXPECT_TRUE(sameBits(mm_on.data(), axpyMatmul(a, b).data()))
+            << "matmul vs axpy " << sh[0] << "x" << sh[1] << "x" << sh[2];
         simd::ScopedForceScalar guard;
-        EXPECT_EQ(mm_on.data(), a.matmul(b).data())
+        EXPECT_TRUE(sameBits(mm_on.data(), a.matmul(b).data()))
             << "matmul " << sh[0] << "x" << sh[1] << "x" << sh[2];
         EXPECT_EQ(ta_on.data(), at.matmulTransposedA(b).data())
             << "matmulTransposedA " << sh[0] << "x" << sh[1] << "x"

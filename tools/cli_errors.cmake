@@ -141,6 +141,16 @@ foreach(cmd ingest train)
         [=[[{"slo":"x","trace":{"traceId":"t","spans":[]}}]]=]
         "\\[0\\]\\.slo: expected a number")
 endforeach()
+# A record that repeats its `trace` key keeps the last one, as a DOM
+# does: the first (a number) would be a malformed drop.
+file(WRITE ${WORK_DIR}/dup-trace.json [=[[{"trace":5,"slo":1,"trace":
+    {"traceId":"t","spans":[{"spanId":"a","parentSpanId":"","service":"s",
+     "name":"n","kind":"server","startUs":0,"endUs":5,"status":"ok"}]}}]]=])
+run_expect(0 out ${SLEUTH_BIN} ingest --traces ${WORK_DIR}/dup-trace.json)
+if(NOT out MATCHES "1 traces accepted \\(1 spans\\), 0 rejected"
+   OR NOT out MATCHES "1 SLO-violating")
+    message(FATAL_ERROR "repeated trace key: the last did not win: ${out}")
+endif()
 
 # --- Config parsing: a malformed enum is a recoverable per-field
 # error naming the offending path, not an opaque abort. ---

@@ -5,6 +5,7 @@
 #   - online_service_test  online <-> batch, 1/2/8-thread determinism
 #   - online_incremental_test  cached <-> uncached incident re-analysis
 #   - pipeline_cache_test  warm ≡ cold re-poll, invalidation fallback
+#   - gnn_incremental_test incremental ≡ full counterfactual propagation
 #   - campaign_corpus      pinned repro cases (incl. the
 #                          incremental-repoll invariant)
 #

@@ -1,10 +1,10 @@
 # Drives sleuth_serviced end to end over durable data directories: the
-# same stream at 1 and 4 producer threads must commit the same serving
-# fingerprint with a balanced span ledger and an analyzed incident, a
-# restart must recover its directory and refuse every redelivered span
-# as late, and `sleuth wal --verify` must replay the directory. The
-# report is one line of compact JSON; fields are read with regexes
-# because string(JSON) needs CMake 3.19.
+# same stream at 1 and 4 producer threads must commit the same, pinned,
+# serving fingerprint with a balanced span ledger and an analyzed
+# incident, a restart must recover its directory and refuse every
+# redelivered span as late, and `sleuth wal --verify` must replay the
+# directory. The report is one line of compact JSON; fields are read
+# with regexes because string(JSON) needs CMake 3.19.
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
@@ -58,6 +58,14 @@ endforeach()
 if(NOT fp_1 STREQUAL fp_4)
     message(FATAL_ERROR "servingFingerprint differs: ${fp_1} at 1 "
             "thread, ${fp_4} at 4 threads")
+endif()
+# The fingerprint hashes every incident's verdicts, so a change in any
+# served verdict fails here even when both runs agree. A change meant
+# to alter verdicts (model, features, RCA) updates this value.
+set(expected_fp 166a9349e5e9174e)
+if(NOT fp_1 STREQUAL expected_fp)
+    message(FATAL_ERROR "servingFingerprint ${fp_1}, expected "
+            "${expected_fp}: the served verdicts changed")
 endif()
 
 # Restart on the 4-thread directory: the recovered watermark is past

@@ -451,6 +451,62 @@ cmdAnalyze(const Args &args)
     return 0;
 }
 
+/** One record of a records-format file: its trace's text and SLO. */
+struct RecordText
+{
+    std::string_view trace;
+    int64_t slo = 0;
+};
+
+/**
+ * Check the syntax of `text` in one pull-reader pass and, when `sniff`,
+ * read it as a records file if its first element is an object with a
+ * `trace` key. Returns the file's defect, with Json::parse's message for
+ * a syntax error anywhere, else the first record's defect ("" when
+ * none). *records stays empty unless the text is a records file.
+ */
+std::string
+scanRecords(std::string_view text, bool sniff,
+            std::vector<RecordText> *records)
+{
+    util::JsonReader r(text);
+    std::string defect;
+    bool is_records = false;
+    if (!sniff)
+        r.skipValue();
+    else if (r.enter(util::Json::Type::Array))
+        for (size_t i = 0; r.nextElement(); ++i) {
+            if ((i > 0 && !is_records) || !defect.empty()) {
+                r.skipValue();
+                continue;
+            }
+            RecordText rec;
+            bool has_trace = false;
+            util::JsonFields fields(
+                {{"trace", true}, {"slo", false, &rec.slo}});
+            std::string why;
+            bool object = fields.read(r, &why, [&](int f, std::string_view) {
+                // The last `trace` member wins, as in the DOM.
+                const size_t from = r.offset();
+                r.skipValue();
+                if (f != 0)
+                    return;
+                fields.mark(0, nullptr);
+                has_trace = true;
+                rec.trace = text.substr(from, r.offset() - from);
+            });
+            if (i == 0)
+                is_records = object && has_trace;
+            if (!is_records)
+                continue;
+            if (!object || fields.defect(&why))
+                defect = util::underPath('[' + std::to_string(i) + ']', why);
+            else
+                records->push_back(rec);
+        }
+    return r.verdict(defect);
+}
+
 int
 cmdIngest(const Args &args)
 {
@@ -470,33 +526,20 @@ cmdIngest(const Args &args)
     collector::TraceCollector coll(&store);
 
     std::string path = args.get("traces");
-    util::Json doc = parseFile(path);
-    bool records_format = proto == collector::Protocol::Otel &&
-                          doc.type() == util::Json::Type::Array &&
-                          !doc.asArray().empty() &&
-                          doc.asArray()[0].has("trace");
-    if (records_format) {
-        // The records format carries a per-trace SLO: ingest each
-        // record as its own single-trace payload so the SLO sticks.
-        // A trace that breaks the schema is the collector's to reject;
-        // a broken record envelope is the file's defect.
-        const util::Json::Array &elems = doc.asArray();
-        for (size_t i = 0; i < elems.size(); ++i) {
-            std::string at = '[' + std::to_string(i) + ']';
-            const util::Json *trace = nullptr;
-            int64_t record_slo = 0;
-            std::string err;
-            if (!util::getField(elems[i], at, "trace", &trace, &err) ||
-                !util::getOptionalInt(elems[i], at, "slo", &record_slo,
-                                      &err))
-                util::fatal(path, ": ", err);
-            util::Json payload = util::Json::array();
-            payload.push(*trace);
-            coll.ingest(payload.dump(), proto, record_slo);
-        }
-    } else {
-        coll.ingest(readFile(path), proto, slo);
-    }
+    std::string text = readFile(path);
+    std::vector<RecordText> records;
+    std::string defect =
+        scanRecords(text, proto == collector::Protocol::Otel, &records);
+    if (!defect.empty())
+        util::fatal(path, ": ", defect);
+    // The records format carries a per-trace SLO: ingest each record's
+    // trace as its own single-trace payload so the SLO sticks. A trace
+    // that breaks the schema is the collector's to reject; a broken
+    // record envelope is the file's defect.
+    for (const RecordText &rec : records)
+        coll.ingest('[' + std::string(rec.trace) + ']', proto, rec.slo);
+    if (records.empty())
+        coll.ingest(text, proto, slo);
 
     const collector::CollectorStats &s = coll.stats();
     size_t anomalous = store.scan()
