@@ -138,12 +138,8 @@ TraceAnomalyRca::fit(const std::vector<trace::Trace> &corpus)
 nn::Tensor
 TraceAnomalyRca::reconstruct(const nn::Tensor &x) const
 {
-    nn::Tensor enc = encoder_->infer(x);
-    nn::Tensor mu(enc.rows(), config_.latent);
-    for (size_t r = 0; r < enc.rows(); ++r)
-        for (size_t c = 0; c < config_.latent; ++c)
-            mu.at(r, c) = enc.at(r, c);
-    return decoder_->infer(std::move(mu));
+    return decoder_->infer(
+        encoder_->infer(x).sliceCols(0, config_.latent));
 }
 
 std::vector<std::string>

@@ -367,13 +367,7 @@ concatCols(const Var &a, const Var &b)
 Var
 sliceCols(const Var &a, size_t from, size_t to)
 {
-    const Tensor &av = a->value();
-    SLEUTH_ASSERT(from < to && to <= av.cols(), "sliceCols range");
-    Tensor out(av.rows(), to - from);
-    for (size_t i = 0; i < av.rows(); ++i)
-        for (size_t j = from; j < to; ++j)
-            out.at(i, j - from) = av.at(i, j);
-    return makeNode(std::move(out), a->requiresGrad(), {a},
+    return makeNode(a->value().sliceCols(from, to), a->requiresGrad(), {a},
                     [a, from](Node &self) {
         if (!a->requiresGrad())
             return;

@@ -141,6 +141,17 @@ Tensor::transposed() const
     return out;
 }
 
+Tensor
+Tensor::sliceCols(size_t from, size_t to) const
+{
+    SLEUTH_ASSERT(from < to && to <= cols_, "sliceCols range");
+    Tensor out(rows_, to - from);
+    for (size_t i = 0; i < rows_; ++i)
+        for (size_t j = from; j < to; ++j)
+            out.data_[i * out.cols_ + (j - from)] = data_[i * cols_ + j];
+    return out;
+}
+
 double
 Tensor::sum() const
 {

@@ -111,6 +111,9 @@ class Tensor
     /** Transpose. */
     Tensor transposed() const;
 
+    /** Columns [from, to) as a new rows x (to - from) tensor. */
+    Tensor sliceCols(size_t from, size_t to) const;
+
     /** Sum of all elements. */
     double sum() const;
 

@@ -201,9 +201,11 @@ __attribute__((target("avx2"))) void
 matmulRow(double *out, const double *a, size_t k, const double *b, size_t n)
 {
     // A 16-column block of `out` stays in four registers across the
-    // whole t loop; then 4-column blocks, then single columns. Every
-    // element still gets out + a[t] * b[t][j] for each nonzero a[t] in
-    // ascending t, as one axpy per a[t] would give it.
+    // whole t loop, so four add chains overlap where one 4-column
+    // register would wait on each add; then 4-column blocks, then
+    // single columns. Every element still gets out + a[t] * b[t][j]
+    // for each nonzero a[t] in ascending t, as one axpy per a[t] would
+    // give it.
     size_t j = 0;
     for (; j + 16 <= n; j += 16) {
         __m256d o0 = _mm256_loadu_pd(out + j);

@@ -471,21 +471,21 @@ scanRecords(std::string_view text, bool sniff,
 {
     util::JsonReader r(text);
     std::string defect;
+    size_t seen = 0;
     bool is_records = false;
     if (!sniff)
         r.skipValue();
     else if (r.enter(util::Json::Type::Array))
-        for (size_t i = 0; r.nextElement(); ++i) {
-            if ((i > 0 && !is_records) || !defect.empty()) {
+        util::readElements(r, "", &defect, [&](std::string *why) {
+            if (seen++ > 0 && !is_records) {
                 r.skipValue();
-                continue;
+                return;
             }
             RecordText rec;
             bool has_trace = false;
             util::JsonFields fields(
                 {{"trace", true}, {"slo", false, &rec.slo}});
-            std::string why;
-            bool object = fields.read(r, &why, [&](int f, std::string_view) {
+            bool object = fields.read(r, why, [&](int f, std::string_view) {
                 // The last `trace` member wins, as in the DOM.
                 const size_t from = r.offset();
                 r.skipValue();
@@ -495,15 +495,13 @@ scanRecords(std::string_view text, bool sniff,
                 has_trace = true;
                 rec.trace = text.substr(from, r.offset() - from);
             });
-            if (i == 0)
+            if (seen == 1)
                 is_records = object && has_trace;
             if (!is_records)
-                continue;
-            if (!object || fields.defect(&why))
-                defect = util::underPath('[' + std::to_string(i) + ']', why);
-            else
+                why->clear();
+            else if (object && !fields.defect(why))
                 records->push_back(rec);
-        }
+        });
     return r.verdict(defect);
 }
 
