@@ -22,6 +22,7 @@
 #include "storage/trace_store.h"
 #include "synth/infer.h"
 #include "trace/trace_json.h"
+#include "util/file.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -1251,12 +1252,8 @@ checkWalTornTail(const ScenarioRun &run, const CheckContext &)
     if (scan.frames.empty())
         return fail("pristine log holds no frames");
     std::string pristine;
-    {
-        std::ifstream in(segments[0].second, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        pristine = buf.str();
-    }
+    if (!util::readFile(segments[0].second, &pristine))
+        return fail("cannot read the pristine segment");
     if (pristine.size() != scan.validBytes)
         return fail("segment bytes do not match the scan");
 

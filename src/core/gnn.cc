@@ -166,7 +166,7 @@ SleuthGnn::propagateNode(const TraceBatch &batch,
     const size_t ecol = config_.embedDim;
     const DurationScale &sc = config_.scale;
     size_t i = static_cast<size_t>(node);
-    const std::vector<int> &kids = graph.children(node);
+    std::span<const int> kids = graph.children(node);
     double dur_us = states[i].exclusiveUs;
     double err = states[i].exclusiveErr;
     if (!kids.empty()) {

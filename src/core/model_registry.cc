@@ -1,7 +1,8 @@
 #include "model_registry.h"
 
 #include <fstream>
-#include <sstream>
+
+#include "util/file.h"
 
 namespace sleuth::core {
 
@@ -93,13 +94,11 @@ ModelRegistry::saveToFile(const std::string &path) const
 ModelRegistry
 ModelRegistry::loadFromFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
+    std::string text;
+    if (!util::readFile(path, &text))
         util::fatal("cannot read registry from ", path);
-    std::stringstream buf;
-    buf << in.rdbuf();
     std::string err;
-    util::Json doc = util::Json::parse(buf.str(), &err);
+    util::Json doc = util::Json::parse(text, &err);
     if (!err.empty())
         util::fatal("registry parse error: ", err);
 

@@ -19,7 +19,8 @@ traceToTree(const trace::Trace &trace, const trace::TraceGraph &graph)
         t.labels[i] = s.service + "\x1f" + s.name + "\x1f" +
                       toString(s.kind) + "\x1f" +
                       (s.hasError() ? "err" : "ok");
-        t.children[i] = graph.children(static_cast<int>(i));
+        std::span<const int> kids = graph.children(static_cast<int>(i));
+        t.children[i].assign(kids.begin(), kids.end());
         std::sort(t.children[i].begin(), t.children[i].end(),
                   [&](int a, int b) {
             const trace::Span &sa = trace.spans[static_cast<size_t>(a)];

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "crc32c.h"
+#include "util/file.h"
 
 namespace sleuth::durable {
 
@@ -92,14 +93,12 @@ bool
 readSnapshotFile(const std::string &path, std::string *payload,
                  std::string *err)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::string data;
+    if (!util::readFile(path, &data)) {
         if (err)
             *err = path + ": open failed";
         return false;
     }
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
     if (data.size() < kHeaderBytes) {
         if (err)
             *err = path + ": short header";

@@ -6,13 +6,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "crc32c.h"
 #include "obs/metrics.h"
+#include "util/file.h"
 #include "util/logging.h"
 
 namespace sleuth::durable {
@@ -222,11 +222,9 @@ SegmentScan
 scanSegment(const std::string &path)
 {
     SegmentScan scan;
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::string data;
+    if (!util::readFile(path, &data))
         return scan;
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
     scan.fileBytes = data.size();
 
     size_t pos = 0;

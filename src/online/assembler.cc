@@ -1,6 +1,9 @@
 #include "assembler.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -54,7 +57,7 @@ SpanAssembler::add(SpanEvent event)
         it = pending_.emplace(std::move(event.traceId), Pending{}).first;
     }
     Pending &p = it->second;
-    if (!p.spanIds.insert(event.span.spanId).second) {
+    if (!indexSpan(p, event.span.spanId)) {
         stats_.countDrop(collector::DropReason::Duplicate, 1);
         return false;
     }
@@ -66,22 +69,58 @@ SpanAssembler::add(SpanEvent event)
 }
 
 bool
+SpanAssembler::indexSpan(Pending &p, const std::string &span_id)
+{
+    // The slot for `id`: the one holding a span with that id, or the
+    // empty one where the probe from its hash stops.
+    auto probe = [&p](const std::string &id) -> uint32_t & {
+        const size_t mask = p.slots.size() - 1;
+        for (size_t h = std::hash<std::string_view>{}(id) & mask;;
+             h = (h + 1) & mask) {
+            uint32_t &slot = p.slots[h];
+            if (slot == 0 || p.spans[slot - 1].spanId == id)
+                return slot;
+        }
+    };
+    const size_t pos = p.spans.size();
+    if (2 * (pos + 1) > p.slots.size()) {
+        p.slots.assign(std::max<size_t>(8, 2 * p.slots.size()), 0);
+        for (size_t i = 0; i < pos; ++i)
+            probe(p.spans[i].spanId) = static_cast<uint32_t>(i + 1);
+    }
+    uint32_t &slot = probe(span_id);
+    if (slot != 0)
+        return false;
+    slot = static_cast<uint32_t>(pos + 1);
+    return true;
+}
+
+bool
 SpanAssembler::finalize(const std::string &trace_id, Pending &p,
                         std::vector<trace::Trace> *out)
 {
     // Canonical span order: ingestion interleaving must not leak into
     // the emitted trace. Span ids are unique within a pending trace,
-    // so (startUs, spanId) is a total order.
+    // so (startUs, spanId) is a total order. Sorting keys moves each
+    // span once, into the emitted trace.
+    const size_t n = p.spans.size();
+    span_order_.clear();
+    for (size_t i = 0; i < n; ++i)
+        span_order_.emplace_back(p.spans[i].startUs,
+                                 static_cast<uint32_t>(i));
+    std::sort(span_order_.begin(), span_order_.end(),
+              [&](const auto &a, const auto &b) {
+                  if (a.first != b.first)
+                      return a.first < b.first;
+                  return p.spans[a.second].spanId <
+                         p.spans[b.second].spanId;
+              });
     trace::Trace t;
     t.traceId = trace_id;
-    t.spans = std::move(p.spans);
-    std::sort(t.spans.begin(), t.spans.end(),
-              [](const trace::Span &a, const trace::Span &b) {
-                  if (a.startUs != b.startUs)
-                      return a.startUs < b.startUs;
-                  return a.spanId < b.spanId;
-              });
-    pending_spans_ -= t.spans.size();
+    t.spans.reserve(n);
+    for (const auto &key : span_order_)
+        t.spans.push_back(std::move(p.spans[key.second]));
+    pending_spans_ -= n;
     trace::TraceGraph graph;
     std::string why;
     static obs::Counter &accepted = obs::counter(
@@ -106,22 +145,30 @@ SpanAssembler::finalize(const std::string &trace_id, Pending &p,
 }
 
 std::vector<trace::Trace>
+SpanAssembler::complete(bool everything)
+{
+    std::vector<trace::Trace> out;
+    for (auto it = pending_.begin(); it != pending_.end();) {
+        if (!everything &&
+            it->second.lastEndUs + config_.quietGapUs > watermark_) {
+            ++it;
+            continue;
+        }
+        auto node = pending_.extract(it++);
+        finalize(node.key(), node.mapped(), &out);
+        rememberClosed(std::move(node.key()));
+    }
+    std::sort(out.begin(), out.end(), canonicalTraceOrder);
+    return out;
+}
+
+std::vector<trace::Trace>
 SpanAssembler::drain(int64_t nowUs)
 {
     flushObs();
     watermark_ = std::max(watermark_, nowUs - config_.latenessUs);
-    std::vector<trace::Trace> out;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-        if (it->second.lastEndUs + config_.quietGapUs <= watermark_) {
-            finalize(it->first, it->second, &out);
-            rememberClosed(it->first);
-            it = pending_.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    std::vector<trace::Trace> out = complete(false);
     pruneClosed();
-    std::sort(out.begin(), out.end(), canonicalTraceOrder);
     return out;
 }
 
@@ -141,21 +188,22 @@ std::vector<trace::Trace>
 SpanAssembler::flush()
 {
     flushObs();
-    std::vector<trace::Trace> out;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-        finalize(it->first, it->second, &out);
-        rememberClosed(it->first);
-        it = pending_.erase(it);
-    }
-    std::sort(out.begin(), out.end(), canonicalTraceOrder);
-    return out;
+    return complete(true);
 }
 
 void
-SpanAssembler::rememberClosed(const std::string &trace_id)
+SpanAssembler::rememberClosed(std::string trace_id)
 {
-    closed_[trace_id] =
-        watermark_ == INT64_MIN ? 0 : watermark_;
+    int64_t at = watermark_ == INT64_MIN ? 0 : watermark_;
+    // add() opens no trace under an id closed_ still holds.
+    auto [it, fresh] = closed_.try_emplace(std::move(trace_id), at);
+    SLEUTH_ASSERT(fresh, "assembler closed a remembered trace id again");
+    // Only a flush before the first drain (closing at 0) can precede
+    // a lower watermark; insert behind every entry that is not later.
+    auto pos = closed_order_.end();
+    while (pos != closed_order_.begin() && (*std::prev(pos))->second > at)
+        --pos;
+    closed_order_.insert(pos, &*it);
 }
 
 void
@@ -163,11 +211,11 @@ SpanAssembler::pruneClosed()
 {
     if (watermark_ == INT64_MIN)
         return;
-    for (auto it = closed_.begin(); it != closed_.end();) {
-        if (it->second + config_.closedMemoryUs < watermark_)
-            it = closed_.erase(it);
-        else
-            ++it;
+    while (!closed_order_.empty() &&
+           closed_order_.front()->second + config_.closedMemoryUs <
+               watermark_) {
+        closed_.erase(closed_.find(closed_order_.front()->first));
+        closed_order_.pop_front();
     }
 }
 

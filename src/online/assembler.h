@@ -28,10 +28,11 @@
  */
 
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "collector/collector.h"
@@ -81,6 +82,13 @@ class SpanAssembler
   public:
     explicit SpanAssembler(AssemblerConfig config);
 
+    // closed_order_ points into closed_'s nodes: a copy would point
+    // into the original's. A move carries the nodes along.
+    SpanAssembler(const SpanAssembler &) = delete;
+    SpanAssembler &operator=(const SpanAssembler &) = delete;
+    SpanAssembler(SpanAssembler &&) = default;
+    SpanAssembler &operator=(SpanAssembler &&) = default;
+
     /**
      * Ingest one span, taken by value so callers can move it in.
      * Returns true when buffered; false when dropped (duplicate within
@@ -117,17 +125,20 @@ class SpanAssembler
     struct Pending
     {
         /**
-         * Buffered spans in arrival order; finalize sorts them into
-         * canonical span order in place and moves them into the
-         * emitted trace.
+         * Buffered spans in arrival order; finalize moves each once
+         * into the emitted trace, in canonical span order.
          */
         std::vector<trace::Span> spans;
         /**
-         * Span ids already buffered, for O(1) duplicate rejection (a
-         * linear scan over the spans is O(n²) per trace at ingest
-         * rates of hundreds of thousands of spans per second).
+         * Duplicate index over `spans`, for O(1) expected rejection
+         * with no allocation per span (a linear scan over the spans is
+         * O(n²) per trace at ingest rates of hundreds of thousands of
+         * spans per second). Open addressing: a power-of-two table at
+         * least twice the span count, grown by doubling; a slot holds
+         * a position in `spans` plus one (0 = empty), probed linearly
+         * from the span id's hash.
          */
-        std::unordered_set<std::string> spanIds;
+        std::vector<uint32_t> slots;
         /**
          * Latest span end time seen (the quiet-horizon anchor).
          * INT64_MIN, not 0: a zero sentinel would pin the anchor at
@@ -137,14 +148,27 @@ class SpanAssembler
         int64_t lastEndUs = std::numeric_limits<int64_t>::min();
     };
 
+    /**
+     * Index a span with this id at position p.spans.size(), the one
+     * add() appends next; false when a buffered span has the id.
+     */
+    static bool indexSpan(Pending &p, const std::string &span_id);
+
     /** Validate, canonicalize, and count one completed trace. */
     bool finalize(const std::string &trace_id, Pending &p,
                   std::vector<trace::Trace> *out);
 
+    /**
+     * Finalize and remember every pending trace whose quiet horizon
+     * the watermark passed (every pending trace when `everything`),
+     * in canonical trace order.
+     */
+    std::vector<trace::Trace> complete(bool everything);
+
     /** Delta-flush hot-path counts into the obs registry. */
     void flushObs();
 
-    void rememberClosed(const std::string &trace_id);
+    void rememberClosed(std::string trace_id);
     void pruneClosed();
 
     AssemblerConfig config_;
@@ -152,6 +176,16 @@ class SpanAssembler
     std::unordered_map<std::string, Pending> pending_;
     /** Recently completed/dropped trace ids -> close watermark. */
     std::unordered_map<std::string, int64_t> closed_;
+    /**
+     * The entries of closed_ ordered by close watermark (node
+     * pointers stay valid across rehashing). Watermarks never
+     * decrease after the first drain, so the entries pruneClosed
+     * expires form a prefix.
+     */
+    std::deque<const std::pair<const std::string, int64_t> *>
+        closed_order_;
+    /** finalize's (startUs, span position) sort keys, reused. */
+    std::vector<std::pair<int64_t, uint32_t>> span_order_;
     size_t pending_spans_ = 0;
     /**
      * Spans admitted since construction / since the last obs flush.

@@ -107,46 +107,54 @@ OnlineService::drainRing(int64_t nowUs)
     // The ring interleaves producer streams nondeterministically;
     // canonical event-time order (endUs, traceId, spanId) restores a
     // batch that is a pure function of the event multiset before any
-    // decision is taken. Duplicate deliveries tie on every key and are
+    // decision is taken. Sorting (endUs, position) keys leaves the
+    // events in place. Duplicate deliveries tie on every key and are
     // content-identical, so an unstable sort is still deterministic.
-    std::sort(batch.begin(), batch.end(),
-              [](const SpanEvent &x, const SpanEvent &y) {
-                  if (x.span.endUs != y.span.endUs)
-                      return x.span.endUs < y.span.endUs;
+    std::vector<std::pair<int64_t, size_t>> &order = drain_order_;
+    order.resize(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i)
+        order[i] = {batch[i].span.endUs, i};
+    std::sort(order.begin(), order.end(),
+              [&](const auto &a, const auto &b) {
+                  if (a.first != b.first)
+                      return a.first < b.first;
+                  const SpanEvent &x = batch[a.second];
+                  const SpanEvent &y = batch[b.second];
                   if (x.traceId != y.traceId)
                       return x.traceId < y.traceId;
                   return x.span.spanId < y.span.spanId;
               });
 
     // Poll-side deterministic shedding: survivors are a pure function
-    // of the (sorted) batch, never of producer interleaving.
-    size_t begin = 0;
-    size_t end = batch.size();
+    // of the canonical order, never of producer interleaving.
     size_t budget = config_.shedBudgetSpans;
-    if (budget > 0 && batch.size() > budget) {
-        size_t shed = batch.size() - budget;
+    if (budget > 0 && order.size() > budget) {
+        size_t shed = order.size() - budget;
         switch (config_.shedPolicy) {
           case ShedPolicy::DropNewest:
-            end = budget; // keep the oldest events
+            order.resize(budget); // keep the oldest events
             break;
           case ShedPolicy::DropOldest:
-            begin = shed; // keep the newest events
+            order.erase(order.begin(), order.begin() + shed); // newest
             break;
           case ShedPolicy::Sample: {
             // Bottom-budget by (fnv1a(traceId), traceId, spanId):
             // trace-coherent (spans of one trace sort adjacently) and
-            // uniform across trace ids. The survivors move to the
-            // front in batch order, so the assembler feed stays in
+            // uniform across trace ids. The survivors keep their
+            // canonical ranks' order, so the assembler feed stays in
             // event-time order.
-            std::vector<std::pair<uint64_t, size_t>> keyed(batch.size());
-            for (size_t i = 0; i < batch.size(); ++i)
-                keyed[i] = {util::fnv1a(batch[i].traceId), i};
+            auto ranked = [&](size_t k) -> const SpanEvent & {
+                return batch[order[k].second];
+            };
+            std::vector<std::pair<uint64_t, size_t>> keyed(order.size());
+            for (size_t k = 0; k < order.size(); ++k)
+                keyed[k] = {util::fnv1a(ranked(k).traceId), k};
             std::sort(keyed.begin(), keyed.end(),
                       [&](const auto &a, const auto &b) {
                           if (a.first != b.first)
                               return a.first < b.first;
-                          const SpanEvent &x = batch[a.second];
-                          const SpanEvent &y = batch[b.second];
+                          const SpanEvent &x = ranked(a.second);
+                          const SpanEvent &y = ranked(b.second);
                           if (x.traceId != y.traceId)
                               return x.traceId < y.traceId;
                           return x.span.spanId < y.span.spanId;
@@ -156,12 +164,11 @@ OnlineService::drainRing(int64_t nowUs)
                       [](const auto &a, const auto &b) {
                           return a.second < b.second;
                       });
-            // keyed[k].second >= k, so no survivor is overwritten
-            // before it moves.
+            // keyed[k].second >= k, so no surviving rank is
+            // overwritten before it moves.
             for (size_t k = 0; k < budget; ++k)
-                if (keyed[k].second != k)
-                    batch[k] = std::move(batch[keyed[k].second]);
-            end = budget;
+                order[k] = order[keyed[k].second];
+            order.resize(budget);
             break;
           }
         }
@@ -181,10 +188,10 @@ OnlineService::drainRing(int64_t nowUs)
         ring_full_flushed_ = ring_full;
     }
 
-    // Bulk-move the survivors in canonical order, then advance the
+    // Move the survivors in canonical order, then advance the
     // assembler's watermark.
-    for (size_t i = begin; i < end; ++i)
-        assembler_.add(std::move(batch[i]));
+    for (const auto &key : order)
+        assembler_.add(std::move(batch[key.second]));
     batch.clear();
     return assembler_.drain(nowUs);
 }

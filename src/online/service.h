@@ -289,6 +289,8 @@ class OnlineService
     size_t ring_full_flushed_ = 0;
     /** Scratch batch, reused across polls (capacity persists). */
     std::vector<SpanEvent> batch_;
+    /** The batch's (endUs, position) sort keys, reused likewise. */
+    std::vector<std::pair<int64_t, size_t>> drain_order_;
     storage::TraceStore store_;
     StormDetector detector_;
     std::vector<Incident> incidents_;

@@ -1,8 +1,5 @@
 #include "trace_store.h"
 
-#include <algorithm>
-#include <set>
-
 #include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -76,12 +73,6 @@ TraceStore::admitRecord(Record record)
     size_t id = record.id;
     record.traceIdHash = util::fnv1a(record.traceId());
     by_start_.emplace(record.startUs(), id);
-    std::set<uint32_t> services;
-    const trace::SpanColumns &cols = record.columns.columns();
-    for (size_t i = 0; i < cols.size(); ++i)
-        services.insert(cols.serviceId(i));
-    for (uint32_t svc : services)
-        by_service_[svc].push_back(id);
     total_spans_ += record.spanCount();
     records_.emplace(id, std::move(record));
 }
@@ -143,23 +134,6 @@ TraceStore::evictOne(size_t id)
             break;
         }
     }
-    std::set<uint32_t> services;
-    const trace::SpanColumns &cols = rec.columns.columns();
-    for (size_t i = 0; i < cols.size(); ++i)
-        services.insert(cols.serviceId(i));
-    for (uint32_t svc : services) {
-        auto svc_it = by_service_.find(svc);
-        if (svc_it == by_service_.end())
-            continue;
-        std::vector<size_t> &ids = svc_it->second;
-        // Each id is listed once per service, and oldest-first eviction
-        // finds it at the front: stop there instead of scanning the list.
-        auto pos = std::find(ids.begin(), ids.end(), id);
-        if (pos != ids.end())
-            ids.erase(pos);
-        if (ids.empty())
-            by_service_.erase(svc_it);
-    }
     total_spans_ -= rec.spanCount();
     ++evictions_.records;
     evictions_.spans += rec.spanCount();
@@ -188,9 +162,7 @@ TraceStore::at(size_t id) const
 std::vector<const Record *>
 TraceStore::query(const Query &q) const
 {
-    // Choose the narrower index: service postings when a service is
-    // given, otherwise the time index. An un-interned service name
-    // cannot match any stored span.
+    // An un-interned service name cannot match any stored span.
     std::vector<const Record *> out;
     std::optional<uint32_t> service_id;
     if (q.service) {
@@ -199,10 +171,6 @@ TraceStore::query(const Query &q) const
             return out;
     }
     auto matches = [&](const Record &r) {
-        if (q.minStartUs && r.startUs() < *q.minStartUs)
-            return false;
-        if (q.maxStartUs && r.startUs() >= *q.maxStartUs)
-            return false;
         if (q.flowIndex && r.flowIndex != *q.flowIndex)
             return false;
         if (q.onlyAnomalous && !r.anomalous())
@@ -212,29 +180,10 @@ TraceStore::query(const Query &q) const
         return true;
     };
 
-    if (service_id) {
-        auto it = by_service_.find(*service_id);
-        if (it == by_service_.end())
-            return out;
-        std::vector<size_t> ids = it->second;
-        std::sort(ids.begin(), ids.end(), [&](size_t a, size_t b) {
-            int64_t sa = records_.at(a).startUs();
-            int64_t sb = records_.at(b).startUs();
-            if (sa != sb)
-                return sa < sb;
-            return a < b;
-        });
-        for (size_t id : ids) {
-            const Record &r = records_.at(id);
-            if (matches(r)) {
-                out.push_back(&r);
-                if (q.limit && out.size() >= q.limit)
-                    break;
-            }
-        }
+    // The index range is the half-open window itself; an inverted
+    // window would put lo past hi.
+    if (q.minStartUs && q.maxStartUs && *q.minStartUs >= *q.maxStartUs)
         return out;
-    }
-
     auto lo = q.minStartUs ? by_start_.lower_bound(*q.minStartUs)
                            : by_start_.begin();
     auto hi = q.maxStartUs ? by_start_.lower_bound(*q.maxStartUs)
@@ -266,7 +215,8 @@ size_t
 TraceStore::memoryBytes() const
 {
     // Estimate: per-record columnar payload plus red-black tree node
-    // overhead for the three indexes (~3 pointers + color per node).
+    // overhead for the record map and the time index (~3 pointers +
+    // color per node).
     constexpr size_t kMapNodeOverhead = 4 * sizeof(void *);
     size_t bytes = sizeof(*this) + interner_->memoryBytes();
     for (const auto &[id, r] : records_) {
@@ -276,12 +226,6 @@ TraceStore::memoryBytes() const
     }
     bytes += by_start_.size() *
              (kMapNodeOverhead + sizeof(int64_t) + sizeof(size_t));
-    for (const auto &[svc, ids] : by_service_) {
-        (void)svc;
-        bytes += kMapNodeOverhead + sizeof(uint32_t) +
-                 sizeof(std::vector<size_t>) +
-                 ids.capacity() * sizeof(size_t);
-    }
     return bytes;
 }
 

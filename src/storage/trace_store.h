@@ -228,7 +228,11 @@ class TraceStore
     /** Record access by id; the id must be live. */
     const Record &at(size_t id) const;
 
-    /** Indexed declarative query; results ordered by start time. */
+    /**
+     * Declarative query over the time index; results ordered by
+     * (start time, id). A service filter tests each record in the
+     * window (ColumnarTrace::touchesService).
+     */
     std::vector<const Record *> query(const Query &q) const;
 
     /** Full-scan operator pipeline over record pointers. */
@@ -247,8 +251,8 @@ class TraceStore
     }
 
     /**
-     * Estimated resident bytes: columnar records + interner + index
-     * structures. Benchmarks divide by totalSpans() to report
+     * Estimated resident bytes: columnar records + interner + the
+     * time index. Benchmarks divide by totalSpans() to report
      * memory_bytes_per_span.
      */
     size_t memoryBytes() const;
@@ -285,10 +289,12 @@ class TraceStore
 
     /** id -> record; a map so eviction can erase without moving ids. */
     std::map<size_t, Record> records_;
-    /** start-time index: (startUs, record id), kept sorted. */
+    /**
+     * The one index: (startUs, record id), kept sorted. Equal start
+     * times keep insertion order, which is id order (inserts allocate
+     * ascending ids and recovery restores records in id order).
+     */
     std::multimap<int64_t, size_t> by_start_;
-    /** interned service id -> record ids. */
-    std::map<uint32_t, std::vector<size_t>> by_service_;
     std::shared_ptr<trace::StringInterner> interner_;
     size_t total_spans_ = 0;
     size_t next_id_ = 0;

@@ -69,20 +69,26 @@ SpanColumns::clear()
 }
 
 void
-SpanColumns::shrinkToFit()
+SpanColumns::reserve(size_t spans, size_t arena_bytes)
 {
-    arena_.shrink_to_fit();
-    span_id_.shrink_to_fit();
-    parent_id_.shrink_to_fit();
-    service_.shrink_to_fit();
-    name_.shrink_to_fit();
-    container_.shrink_to_fit();
-    pod_.shrink_to_fit();
-    node_.shrink_to_fit();
-    kind_.shrink_to_fit();
-    status_.shrink_to_fit();
-    start_.shrink_to_fit();
-    end_.shrink_to_fit();
+    // std::string::reserve may round a small request up to twice the
+    // inline buffer; a string built at its size allocates exactly.
+    if (arena_bytes > arena_.capacity()) {
+        std::string sized(arena_bytes, '\0');
+        sized.assign(arena_);
+        arena_.swap(sized);
+    }
+    span_id_.reserve(spans);
+    parent_id_.reserve(spans);
+    service_.reserve(spans);
+    name_.reserve(spans);
+    container_.reserve(spans);
+    pod_.reserve(spans);
+    node_.reserve(spans);
+    kind_.reserve(spans);
+    status_.reserve(spans);
+    start_.reserve(spans);
+    end_.reserve(spans);
 }
 
 namespace {
@@ -185,12 +191,15 @@ ColumnarTrace::ColumnarTrace(const Trace &t,
 {
     SLEUTH_ASSERT(interner_ != nullptr,
                   "ColumnarTrace requires an interner");
+    size_t arena_bytes = 0;
+    for (const Span &s : t.spans)
+        arena_bytes += s.spanId.size() + s.parentSpanId.size();
+    cols_.reserve(t.spans.size(), arena_bytes);
     for (size_t i = 0; i < t.spans.size(); ++i) {
         cols_.append(t.spans[i], *interner_);
         if (root_ < 0 && t.spans[i].parentSpanId.empty())
             root_ = static_cast<int>(i);
     }
-    cols_.shrinkToFit();
 }
 
 Trace

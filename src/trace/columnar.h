@@ -79,7 +79,13 @@ class SpanColumns
     Span materialize(size_t i, const StringInterner &interner) const;
 
     void clear();
-    void shrinkToFit();
+
+    /**
+     * Size every column for `spans` spans and the arena for
+     * `arena_bytes` id bytes, exactly: appends up to those totals
+     * then never reallocate.
+     */
+    void reserve(size_t spans, size_t arena_bytes);
 
     /**
      * Raw-column dump for the durable store (DESIGN.md §3.15): the

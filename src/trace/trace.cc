@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/logging.h"
@@ -45,7 +46,8 @@ TraceGraph::tryBuild(const Trace &trace, TraceGraph *out, std::string *error)
     if (n == 0)
         return fail("trace has no spans");
 
-    std::unordered_map<std::string, int> index;
+    // Views into the trace's own span ids: validation copies no string.
+    std::unordered_map<std::string_view, int> index;
     index.reserve(n);
     for (size_t i = 0; i < n; ++i) {
         const Span &s = trace.spans[i];
@@ -57,8 +59,10 @@ TraceGraph::tryBuild(const Trace &trace, TraceGraph *out, std::string *error)
 
     TraceGraph g;
     g.parent_.assign(n, -1);
-    g.children_.assign(n, {});
     g.depth_.assign(n, 0);
+    // child_begin_[p] counts p's children first; the prefix sums below
+    // turn the counts into range ends.
+    g.child_begin_.assign(n + 1, 0);
     g.root_ = -1;
     for (size_t i = 0; i < n; ++i) {
         const Span &s = trace.spans[i];
@@ -74,21 +78,33 @@ TraceGraph::tryBuild(const Trace &trace, TraceGraph *out, std::string *error)
         if (it->second == static_cast<int>(i))
             return fail("span '" + s.spanId + "' is its own parent");
         g.parent_[i] = it->second;
-        g.children_[static_cast<size_t>(it->second)].push_back(
-            static_cast<int>(i));
+        ++g.child_begin_[static_cast<size_t>(it->second)];
     }
     if (g.root_ < 0)
         return fail("no root span");
 
+    for (size_t i = 1; i <= n; ++i)
+        g.child_begin_[i] += g.child_begin_[i - 1];
+    // Filling in descending span index walks each range end back to its
+    // begin and leaves every child list in ascending span index.
+    g.child_list_.resize(n - 1);
+    for (size_t i = n; i-- > 0;) {
+        int p = g.parent_[i];
+        if (p >= 0)
+            g.child_list_[static_cast<size_t>(
+                --g.child_begin_[static_cast<size_t>(p)])] =
+                static_cast<int>(i);
+    }
+
     // Breadth-first walk from the root assigns depths and detects spans
     // disconnected from the root (which also covers parent cycles).
-    std::vector<int> order;
+    std::vector<int> &order = g.bottom_up_;
     order.reserve(n);
     order.push_back(g.root_);
     g.depth_[static_cast<size_t>(g.root_)] = 1;
     for (size_t head = 0; head < order.size(); ++head) {
         int u = order[head];
-        for (int v : g.children_[static_cast<size_t>(u)]) {
+        for (int v : g.children(u)) {
             g.depth_[static_cast<size_t>(v)] =
                 g.depth_[static_cast<size_t>(u)] + 1;
             order.push_back(v);
@@ -98,7 +114,7 @@ TraceGraph::tryBuild(const Trace &trace, TraceGraph *out, std::string *error)
         return fail("spans unreachable from the root (cycle or orphan)");
 
     // Reversed BFS order places children before parents.
-    g.bottom_up_.assign(order.rbegin(), order.rend());
+    std::reverse(order.begin(), order.end());
     *out = std::move(g);
     if (error)
         error->clear();
@@ -127,10 +143,10 @@ TraceGraph::maxDepth() const
 int
 TraceGraph::maxOutDegree() const
 {
-    size_t best = 0;
-    for (const auto &c : children_)
-        best = std::max(best, c.size());
-    return static_cast<int>(best);
+    int best = 0;
+    for (size_t i = 0; i + 1 < child_begin_.size(); ++i)
+        best = std::max(best, child_begin_[i + 1] - child_begin_[i]);
+    return best;
 }
 
 ExclusiveMetrics
@@ -143,7 +159,7 @@ computeExclusive(const Trace &trace, const TraceGraph &graph)
 
     for (size_t i = 0; i < n; ++i) {
         const Span &s = trace.spans[i];
-        const auto &kids = graph.children(static_cast<int>(i));
+        std::span<const int> kids = graph.children(static_cast<int>(i));
 
         // Exclusive duration: span interval minus the union of child
         // intervals (children clipped to the span's own interval).

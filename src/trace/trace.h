@@ -7,6 +7,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,11 +66,13 @@ class TraceGraph
     /** Parent index of a span; -1 for the root. */
     int parent(int i) const { return parent_[static_cast<size_t>(i)]; }
 
-    /** Children indices of a span. */
-    const std::vector<int> &
+    /** Children indices of a span, in ascending span index. */
+    std::span<const int>
     children(int i) const
     {
-        return children_[static_cast<size_t>(i)];
+        size_t begin = child_begin_[static_cast<size_t>(i)];
+        size_t end = child_begin_[static_cast<size_t>(i) + 1];
+        return {child_list_.data() + begin, end - begin};
     }
 
     /**
@@ -90,7 +93,12 @@ class TraceGraph
 
   private:
     std::vector<int> parent_;
-    std::vector<std::vector<int>> children_;
+    /**
+     * Children in one array: span i's children are
+     * child_list_[child_begin_[i], child_begin_[i + 1]).
+     */
+    std::vector<int> child_begin_;
+    std::vector<int> child_list_;
     std::vector<int> bottom_up_;
     std::vector<int> depth_;
     int root_ = -1;

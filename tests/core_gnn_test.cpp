@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 
 #include "core/gnn.h"
@@ -41,6 +43,39 @@ smallConfig(Aggregator agg = Aggregator::Gin)
     c.aggregator = agg;
     c.seed = 3;
     return c;
+}
+
+/** smallConfig() trained for 8 epochs on simulateCorpus(80, 4). */
+SleuthGnn
+trainedModel(FeatureEncoder &enc,
+             const std::vector<trace::Trace> &corpus)
+{
+    SleuthGnn model(smallConfig());
+    TrainConfig tc;
+    tc.epochs = 8;
+    tc.tracesPerBatch = 8;
+    Trainer trainer(model, enc, tc);
+    trainer.train(corpus);
+    return model;
+}
+
+/**
+ * A chain root <- mid <- leaf with an inflated leaf, rooted at the
+ * endpoint of `first`.
+ */
+trace::Trace
+inflatedLeafChain(const trace::Trace &first)
+{
+    trace::Trace t;
+    t.spans.push_back(sleuth::testing::makeSpan(
+        "r", "", first.spans[0].service, first.spans[0].name, 0,
+        1200000));
+    t.spans.push_back(sleuth::testing::makeSpan(
+        "m", "r", "mid-svc", "MidOp", 100, 1100000,
+        trace::SpanKind::Client));
+    t.spans.push_back(sleuth::testing::makeSpan(
+        "l", "m", "leaf-svc", "LeafOp", 200, 1000000));
+    return t;
 }
 
 } // namespace
@@ -143,24 +178,10 @@ TEST(SleuthGnn, PropagateRestoresDeepIntervention)
     // Train on a corpus, then check that restoring an inflated leaf
     // reduces the predicted root duration.
     FeatureEncoder enc(8);
-    SleuthGnn model(smallConfig());
     auto corpus = simulateCorpus(80, 4);
-    TrainConfig tc;
-    tc.epochs = 8;
-    tc.tracesPerBatch = 8;
-    Trainer trainer(model, enc, tc);
-    trainer.train(corpus);
+    SleuthGnn model = trainedModel(enc, corpus);
 
-    // Build a chain trace: root <- mid <- leaf with an inflated leaf.
-    trace::Trace t;
-    t.spans.push_back(sleuth::testing::makeSpan(
-        "r", "", corpus[0].spans[0].service,
-        corpus[0].spans[0].name, 0, 1200000));
-    t.spans.push_back(sleuth::testing::makeSpan(
-        "m", "r", "mid-svc", "MidOp", 100, 1100000,
-        trace::SpanKind::Client));
-    t.spans.push_back(sleuth::testing::makeSpan(
-        "l", "m", "leaf-svc", "LeafOp", 200, 1000000));
+    trace::Trace t = inflatedLeafChain(corpus[0]);
     trace::TraceGraph g = trace::TraceGraph::build(t);
     TraceBatch b = enc.encode(t);
     trace::ExclusiveMetrics m = trace::computeExclusive(t, g);
@@ -175,6 +196,55 @@ TEST(SleuthGnn, PropagateRestoresDeepIntervention)
     TracePrediction fixed = model.propagate(b, g, restored);
 
     EXPECT_LT(fixed.rootDurationUs, as_is.rootDurationUs);
+}
+
+TEST(SleuthGnn, PropagatePredictionsArePinned)
+{
+    // Bit-for-bit pins of a trained model's root predictions on three
+    // fixed traces. Numeric drift in training or inference (a dropped
+    // bias add, a reordered sum) fails here even when every served
+    // verdict, and so the serving fingerprint, stays the same. A change
+    // meant to alter predictions updates these values, as it does the
+    // fingerprint in tools/serviced_smoke.cmake.
+    FeatureEncoder enc(8);
+    auto corpus = simulateCorpus(80, 4);
+    SleuthGnn model = trainedModel(enc, corpus);
+
+    struct Pin
+    {
+        const char *name;
+        trace::Trace trace;
+        uint64_t rootDurationBits;
+        uint64_t rootErrorBits;
+    };
+    const Pin pins[] = {
+        {"figure 2", figure2Trace(), 0x403e000000000000,
+         0x3e706a53f431d3ee},
+        {"inflated-leaf chain", inflatedLeafChain(corpus[0]),
+         0x41324f64014fe68b, 0x3fec8d1772df95bc},
+        {"first simulated trace", corpus[0], 0x40840a41627eec40,
+         0x3ed5757ed1ee3d58},
+    };
+    for (const Pin &pin : pins) {
+        trace::TraceGraph g = trace::TraceGraph::build(pin.trace);
+        trace::ExclusiveMetrics m = trace::computeExclusive(pin.trace, g);
+        std::vector<NodeState> observed(pin.trace.spans.size());
+        for (size_t i = 0; i < observed.size(); ++i)
+            observed[i] = {static_cast<double>(m.exclusiveUs[i]),
+                           m.exclusiveError[i] ? 1.0 : 0.0};
+        TracePrediction p =
+            model.propagate(enc.encode(pin.trace), g, observed);
+        EXPECT_EQ(std::bit_cast<uint64_t>(p.rootDurationUs),
+                  pin.rootDurationBits)
+            << pin.name << ": rootDurationUs " << p.rootDurationUs
+            << " has bits 0x" << std::hex
+            << std::bit_cast<uint64_t>(p.rootDurationUs);
+        EXPECT_EQ(std::bit_cast<uint64_t>(p.rootErrorProb),
+                  pin.rootErrorBits)
+            << pin.name << ": rootErrorProb " << p.rootErrorProb
+            << " has bits 0x" << std::hex
+            << std::bit_cast<uint64_t>(p.rootErrorProb);
+    }
 }
 
 TEST(SleuthGnn, PropagateClearsErrors)

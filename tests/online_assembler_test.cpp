@@ -253,3 +253,102 @@ TEST(SpanAssembler, FlushCompletesEverythingPending)
     const collector::CollectorStats &s = a.stats();
     EXPECT_EQ(s.spansAccepted + s.spansRejected + a.pendingSpans(), 3u);
 }
+
+TEST(SpanAssembler, LargeShuffledTraceDeliveredTwice)
+{
+    // 3,000 spans outgrow the duplicate index's first table many times
+    // over; every span arrives twice, in shuffled order, and each
+    // startUs is shared by three spans so the spanId tie-break decides
+    // their order ("s10" sorts before "s9").
+    constexpr size_t kSpans = 3'000;
+    trace::Trace t;
+    for (size_t i = 0; i < kSpans; ++i) {
+        std::string parent = i == 0 ? "" : "s" + std::to_string((i - 1) / 4);
+        int64_t start = static_cast<int64_t>(i / 3);
+        t.spans.push_back(makeSpan("s" + std::to_string(i), parent, "svc",
+                                   "op", start, start + 100));
+    }
+    std::vector<SpanEvent> deliveries;
+    for (int copy = 0; copy < 2; ++copy)
+        for (const trace::Span &s : t.spans)
+            deliveries.push_back(ev("wide", s));
+    util::Rng rng(7);
+    rng.shuffle(deliveries);
+
+    SpanAssembler a(tightConfig());
+    size_t buffered = 0;
+    for (SpanEvent &e : deliveries)
+        buffered += a.add(std::move(e)) ? 1 : 0;
+    EXPECT_EQ(buffered, kSpans);
+    EXPECT_EQ(a.stats().droppedDuplicate, kSpans);
+    EXPECT_EQ(a.pendingSpans(), kSpans);
+
+    // The last span ends at 999 + 100; the watermark must pass it plus
+    // the quiet gap.
+    std::vector<trace::Trace> done = a.drain(3'000);
+    ASSERT_EQ(done.size(), 1u);
+    std::vector<trace::Span> reference = t.spans;
+    std::sort(reference.begin(), reference.end(),
+              [](const trace::Span &x, const trace::Span &y) {
+                  if (x.startUs != y.startUs)
+                      return x.startUs < y.startUs;
+                  return x.spanId < y.spanId;
+              });
+    ASSERT_EQ(done[0].spans.size(), kSpans);
+    for (size_t i = 0; i < kSpans; ++i) {
+        EXPECT_EQ(done[0].spans[i].spanId, reference[i].spanId);
+        EXPECT_EQ(done[0].spans[i].parentSpanId, reference[i].parentSpanId);
+        EXPECT_EQ(done[0].spans[i].startUs, reference[i].startUs);
+    }
+    EXPECT_EQ(a.pendingSpans(), 0u);
+    EXPECT_EQ(a.pendingTraces(), 0u);
+    EXPECT_EQ(a.stats().tracesAccepted, 1u);
+    EXPECT_EQ(a.stats().spansAccepted, kSpans);
+}
+
+TEST(SpanAssembler, ClosedIdsExpireInCloseOrder)
+{
+    AssemblerConfig cfg = tightConfig();
+    cfg.closedMemoryUs = 3'000;
+    SpanAssembler a(cfg);
+    for (const SpanEvent &e : figure2Events("t1"))
+        EXPECT_TRUE(a.add(e));
+    ASSERT_EQ(a.drain(2'000).size(), 1u); // t1 closes at watermark 1k
+    for (const SpanEvent &e : figure2Events("t2", 2'000))
+        EXPECT_TRUE(a.add(e));
+    ASSERT_EQ(a.drain(4'000).size(), 1u); // t2 closes at watermark 3k
+
+    // At watermark 4.5k only t1 (1k + 3k) has expired: a t1 span that
+    // ends ahead of the watermark opens a new trace, while t2's id is
+    // still remembered.
+    a.drain(5'500);
+    EXPECT_TRUE(
+        a.add(ev("t1", makeSpan("x", "", "svc-x", "new", 9'000, 9'100))));
+    EXPECT_FALSE(
+        a.add(ev("t2", makeSpan("y", "", "svc-y", "late", 9'000, 9'100))));
+    EXPECT_EQ(a.stats().droppedLate, 1u);
+}
+
+TEST(SpanAssembler, FlushBeforeFirstDrainDoesNotDelayLaterExpiry)
+{
+    // A flush before any drain closes its traces at watermark 0; a
+    // later drain at a negative watermark closes others below it. Each
+    // id still expires on its own close watermark.
+    AssemblerConfig cfg = tightConfig();
+    cfg.closedMemoryUs = 3'000;
+    SpanAssembler a(cfg);
+    for (const SpanEvent &e : figure2Events("t1"))
+        EXPECT_TRUE(a.add(e));
+    ASSERT_EQ(a.flush().size(), 1u); // t1 closes at 0
+    for (const SpanEvent &e : figure2Events("t2", -20'000))
+        EXPECT_TRUE(a.add(e));
+    ASSERT_EQ(a.drain(-18'000).size(), 1u); // t2 closes at -19k
+
+    // Watermark -15k: t2 (-19k + 3k) has expired, t1 (0 + 3k) has not.
+    a.drain(-14'000);
+    EXPECT_TRUE(
+        a.add(ev("t2", makeSpan("x", "", "svc-x", "new", -9'000, -8'900))));
+    EXPECT_FALSE(
+        a.add(ev("t1", makeSpan("y", "", "svc-y", "late", -9'000, -8'900))));
+    EXPECT_EQ(a.stats().droppedLate, 1u);
+}

@@ -106,8 +106,7 @@ TEST(TraceStore, TimeWindowQuery)
 TEST(TraceStore, TimeWindowIsHalfOpenAtExactBoundaries)
 {
     // Pins the [minStartUs, maxStartUs) contract with records sitting
-    // exactly on both boundaries, through the time index and through
-    // the service-postings path (which applies the same predicate).
+    // exactly on both boundaries, with and without a service filter.
     TraceStore store;
     store.insert(makeTrace("before", 100, 10, "svc"));
     store.insert(makeTrace("at-min", 200, 10, "svc"));
@@ -123,7 +122,7 @@ TEST(TraceStore, TimeWindowIsHalfOpenAtExactBoundaries)
     EXPECT_EQ(hits[0]->traceId(), "at-min");  // min boundary included
     EXPECT_EQ(hits[1]->traceId(), "inside");  // max boundary excluded
 
-    q.service = "svc";  // same window through the postings path
+    q.service = "svc";  // same window, filtered by service
     hits = store.query(q);
     ASSERT_EQ(hits.size(), 2u);
     EXPECT_EQ(hits[0]->traceId(), "at-min");
@@ -144,6 +143,14 @@ TEST(TraceStore, TimeWindowIsHalfOpenAtExactBoundaries)
     ASSERT_EQ(one.size(), 1u);
     EXPECT_EQ(one[0]->traceId(), "inside");
 
+    // An inverted window selects nothing either.
+    Query inverted;
+    inverted.minStartUs = 400;
+    inverted.maxStartUs = 200;
+    EXPECT_TRUE(store.query(inverted).empty());
+    inverted.service = "svc";
+    EXPECT_TRUE(store.query(inverted).empty());
+
     // Only one bound set: each side stays half-open independently.
     Query minOnly;
     minOnly.minStartUs = 400;
@@ -154,7 +161,7 @@ TEST(TraceStore, TimeWindowIsHalfOpenAtExactBoundaries)
     EXPECT_EQ(store.query(maxOnly)[0]->traceId(), "before");
 }
 
-TEST(TraceStore, ServiceQueryUsesPostings)
+TEST(TraceStore, ServiceQueryFiltersTimeIndex)
 {
     TraceStore store;
     store.insert(makeTrace("a", 0, 10, "alpha"));
@@ -169,6 +176,46 @@ TEST(TraceStore, ServiceQueryUsesPostings)
 
     q.service = "missing";
     EXPECT_TRUE(store.query(q).empty());
+}
+
+TEST(TraceStore, EqualStartTimesComeBackInIdOrder)
+{
+    // Records sharing a start time come back in id order, with and
+    // without a service filter, and again from a store recovered from
+    // the first one's state.
+    TraceStore store;
+    store.insert(makeTrace("late", 90, 10, "alpha"));
+    store.insert(makeTrace("tie0", 50, 10, "alpha"));
+    store.insert(makeTrace("tie1", 50, 30, "beta"));
+    store.insert(makeTrace("tie2", 50, 20, "alpha"));
+    store.insert(makeTrace("early", 10, 10, "alpha"));
+    store.insert(makeTrace("tie3", 50, 10, "alpha"));
+
+    auto ids = [](const std::vector<const Record *> &hits) {
+        std::vector<std::string> out;
+        for (const Record *r : hits)
+            out.push_back(r->traceId());
+        return out;
+    };
+    util::BinaryWriter w;
+    store.encodeState(w);
+    TraceStore recovered;
+    util::BinaryReader r(w.buffer());
+    ASSERT_TRUE(recovered.decodeState(r));
+    for (const TraceStore *s : {&store, &recovered}) {
+        EXPECT_EQ(ids(s->query(Query{})),
+                  (std::vector<std::string>{"early", "tie0", "tie1",
+                                            "tie2", "tie3", "late"}));
+        Query alpha;
+        alpha.service = "alpha";
+        EXPECT_EQ(ids(s->query(alpha)),
+                  (std::vector<std::string>{"early", "tie0", "tie2",
+                                            "tie3", "late"}));
+        alpha.minStartUs = 50;
+        alpha.maxStartUs = 51;
+        EXPECT_EQ(ids(s->query(alpha)),
+                  (std::vector<std::string>{"tie0", "tie2", "tie3"}));
+    }
 }
 
 TEST(TraceStore, AnomalousFilterAndLimit)

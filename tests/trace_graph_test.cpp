@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "test_helpers.h"
 #include "trace/trace.h"
 
@@ -134,6 +138,79 @@ TEST(TraceGraph, SingleSpanTrace)
     EXPECT_EQ(g.maxDepth(), 1);
     EXPECT_EQ(g.maxOutDegree(), 0);
     EXPECT_EQ(t.rootDurationUs(), 20);
+}
+
+TEST(TraceGraph, WideFanOutListsChildrenInSpanOrder)
+{
+    // The root sits mid-trace and its 40 children precede and follow
+    // it; s40..s48 hang one each under s0, s4, ..., s32, and s49..s58
+    // all under s36.
+    trace::Trace t;
+    std::vector<int> root_kids;
+    for (int i = 0; i < 60; ++i) {
+        std::string id = "s" + std::to_string(i);
+        if (i == 25) {
+            t.spans.push_back(makeSpan(id, "", "s", "op", 0, 100));
+        } else if (i < 40 || i == 59) {
+            t.spans.push_back(makeSpan(id, "s25", "s", "op", 1, 99));
+            root_kids.push_back(i);
+        } else {
+            int parent = std::min(4 * (i - 40), 36);
+            t.spans.push_back(makeSpan(id, "s" + std::to_string(parent),
+                                       "s", "op", 2, 98));
+        }
+    }
+    trace::TraceGraph g = trace::TraceGraph::build(t);
+    EXPECT_EQ(g.root(), 25);
+    std::span<const int> kids = g.children(25);
+    EXPECT_EQ(std::vector<int>(kids.begin(), kids.end()), root_kids);
+    std::span<const int> under36 = g.children(36);
+    EXPECT_EQ(std::vector<int>(under36.begin(), under36.end()),
+              (std::vector<int>{49, 50, 51, 52, 53, 54, 55, 56, 57, 58}));
+    EXPECT_EQ(g.children(4).size(), 1u);
+    EXPECT_EQ(g.children(4)[0], 41);
+    EXPECT_TRUE(g.children(59).empty());
+    EXPECT_EQ(g.maxOutDegree(), static_cast<int>(root_kids.size()));
+    EXPECT_EQ(g.maxDepth(), 3);
+    EXPECT_EQ(g.depth(58), 3);
+    EXPECT_EQ(g.parent(58), 36);
+}
+
+TEST(TraceGraph, RejectionMessagesAreExact)
+{
+    auto why = [](std::vector<trace::Span> spans) {
+        trace::Trace t;
+        t.spans = std::move(spans);
+        trace::TraceGraph g;
+        std::string err;
+        EXPECT_FALSE(trace::TraceGraph::tryBuild(t, &g, &err));
+        return err;
+    };
+    EXPECT_EQ(why({}), "trace has no spans");
+    EXPECT_EQ(why({makeSpan("r", "", "s", "op", 0, 10),
+                   makeSpan("", "r", "s", "op", 0, 10)}),
+              "span with empty spanId");
+    // Ids are checked before parents: the duplicate wins over the
+    // second root that follows it.
+    EXPECT_EQ(why({makeSpan("a", "", "s", "op", 0, 10),
+                   makeSpan("a", "", "s", "op", 0, 10)}),
+              "duplicate spanId 'a'");
+    EXPECT_EQ(why({makeSpan("a", "", "s", "op", 0, 10),
+                   makeSpan("b", "", "s", "op", 0, 10)}),
+              "multiple root spans");
+    EXPECT_EQ(why({makeSpan("a", "", "s", "op", 0, 10),
+                   makeSpan("b", "ghost", "s", "op", 0, 10)}),
+              "unresolved parentSpanId 'ghost'");
+    EXPECT_EQ(why({makeSpan("r", "", "s", "op", 0, 10),
+                   makeSpan("a", "a", "s", "op", 0, 10)}),
+              "span 'a' is its own parent");
+    EXPECT_EQ(why({makeSpan("a", "b", "s", "op", 0, 10),
+                   makeSpan("b", "a", "s", "op", 0, 10)}),
+              "no root span");
+    EXPECT_EQ(why({makeSpan("r", "", "s", "op", 0, 10),
+                   makeSpan("a", "b", "s", "op", 0, 10),
+                   makeSpan("b", "a", "s", "op", 0, 10)}),
+              "spans unreachable from the root (cycle or orphan)");
 }
 
 TEST(TraceStruct, HasErrorAndRootDuration)

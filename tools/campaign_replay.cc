@@ -5,13 +5,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.h"
 #include "campaign/invariants.h"
+#include "util/file.h"
 #include "util/logging.h"
 
 using namespace sleuth;
@@ -85,13 +84,11 @@ main(int argc, char **argv)
     }
     int mismatches = 0;
     for (int i = 1; i < argc; ++i) {
-        std::ifstream in(argv[i]);
-        if (!in)
+        std::string text;
+        if (!util::readFile(argv[i], &text))
             util::fatal("cannot read ", argv[i]);
-        std::ostringstream buf;
-        buf << in.rdbuf();
         std::string err;
-        util::Json doc = util::Json::parse(buf.str(), &err);
+        util::Json doc = util::Json::parse(text, &err);
         if (!err.empty())
             util::fatal(argv[i], ": ", err);
         if (!validateNames(argv[i], doc)) {

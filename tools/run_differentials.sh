@@ -6,6 +6,7 @@
 #   - online_incremental_test  cached <-> uncached incident re-analysis
 #   - pipeline_cache_test  warm ≡ cold re-poll, invalidation fallback
 #   - gnn_incremental_test incremental ≡ full counterfactual propagation
+#   - core_gnn_test        trained-model predictions pinned bit for bit
 #   - campaign_corpus      pinned repro cases (incl. the
 #                          incremental-repoll invariant)
 #

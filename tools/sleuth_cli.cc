@@ -47,7 +47,6 @@
 #include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <system_error>
 
@@ -65,6 +64,7 @@
 #include "synth/generator.h"
 #include "synth/infer.h"
 #include "trace/trace_json.h"
+#include "util/file.h"
 #include "util/logging.h"
 
 #include "cli_flags.h"
@@ -142,12 +142,10 @@ class Args
 std::string
 readFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
+    std::string text;
+    if (!util::readFile(path, &text))
         util::fatal("cannot read ", path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
+    return text;
 }
 
 void
