@@ -7,16 +7,34 @@ namespace sleuth::distance {
 
 namespace {
 
+/** FNV-1a of a span's (service, name), one separator after each. */
 uint64_t
-fnv1aAppend(uint64_t h, const std::string &s)
+pairHash(const trace::Span &s)
 {
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
+    uint64_t h = 1469598103934665603ull;
+    for (const std::string *field : {&s.service, &s.name}) {
+        for (char c : *field) {
+            h ^= static_cast<unsigned char>(c);
+            h *= 1099511628211ull;
+        }
+        h ^= 0x1f; // field separator so ("ab","c") != ("a","bc")
         h *= 1099511628211ull;
     }
-    h ^= 0x1f;  // field separator so ("ab","c") != ("a","bc")
-    h *= 1099511628211ull;
     return h;
+}
+
+/**
+ * One chaining step of a span-set key: splitmix64's finalizer over
+ * h·φ + v, so every input bit reaches every output bit and the step
+ * is not symmetric in (h, v).
+ */
+uint64_t
+mixStep(uint64_t h, uint64_t v)
+{
+    uint64_t z = h * 0x9e3779b97f4a7c15ull + v;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
 }
 
 } // namespace
@@ -40,31 +58,45 @@ makeSpanSet(std::vector<std::pair<uint64_t, double>> entries)
     return entries;
 }
 
+std::vector<uint64_t>
+spanKeys(const trace::Trace &trace, const trace::TraceGraph &graph,
+         const SpanSetOptions &opts)
+{
+    // Each span's names are hashed once. Its key then mixes that hash
+    // with its kind and error flag, and with the hashes of its
+    // ancestors within maxAncestorDistance (the calling path).
+    std::vector<uint64_t> key(trace.spans.size());
+    for (size_t i = 0; i < key.size(); ++i)
+        key[i] = pairHash(trace.spans[i]);
+    // Bottom-up order reaches a span after all of its descendants, so
+    // its ancestors' slots still hold their name hashes when the span's
+    // key overwrites its own.
+    for (int i : graph.bottomUpOrder()) {
+        const trace::Span &s = trace.spans[static_cast<size_t>(i)];
+        uint64_t role = static_cast<uint64_t>(s.kind) << 2;
+        if (opts.includeErrorStatus)
+            role |= s.hasError() ? 3 : 2;
+        uint64_t h = mixStep(key[static_cast<size_t>(i)], role);
+        int up = 0;
+        for (int a = graph.parent(i);
+             a >= 0 && up < opts.maxAncestorDistance;
+             a = graph.parent(a), ++up)
+            h = mixStep(h, key[static_cast<size_t>(a)]);
+        key[static_cast<size_t>(i)] = h;
+    }
+    return key;
+}
+
 WeightedSpanSet
 encodeSpanSet(const trace::Trace &trace, const trace::TraceGraph &graph,
               const SpanSetOptions &opts)
 {
+    std::vector<uint64_t> key = spanKeys(trace, graph, opts);
     std::vector<std::pair<uint64_t, double>> entries;
-    entries.reserve(trace.spans.size());
-    for (size_t i = 0; i < trace.spans.size(); ++i) {
-        const trace::Span &s = trace.spans[i];
-        uint64_t h = 1469598103934665603ull;
-        h = fnv1aAppend(h, s.service);
-        h = fnv1aAppend(h, s.name);
-        h = fnv1aAppend(h, toString(s.kind));
-        if (opts.includeErrorStatus)
-            h = fnv1aAppend(h, s.hasError() ? "err" : "ok");
-        // Calling path: ancestor names within maxAncestorDistance.
-        int up = 0;
-        for (int a = graph.parent(static_cast<int>(i));
-             a >= 0 && up < opts.maxAncestorDistance;
-             a = graph.parent(a), ++up) {
-            const trace::Span &anc = trace.spans[static_cast<size_t>(a)];
-            h = fnv1aAppend(h, anc.service);
-            h = fnv1aAppend(h, anc.name);
-        }
-        entries.emplace_back(h, static_cast<double>(s.durationUs()));
-    }
+    entries.reserve(key.size());
+    for (size_t i = 0; i < key.size(); ++i)
+        entries.emplace_back(key[i],
+                             static_cast<double>(trace.spans[i].durationUs()));
     return makeSpanSet(std::move(entries));
 }
 

@@ -49,7 +49,23 @@ WeightedSpanSet makeSpanSet(
     std::vector<std::pair<uint64_t, double>> entries);
 
 /**
- * Encode a trace as a weighted span set.
+ * The identifier key of every span, in span order: a 64-bit hash of
+ * the span's identifier tuple. Each span's (service, name) is hashed
+ * once, then mixed with its kind, its error flag (when included) and
+ * the (service, name) hashes of its ancestors within
+ * maxAncestorDistance. Only which spans share a key is meaningful
+ * (up to 64-bit collisions, exactly the spans with equal tuples);
+ * weighted Jaccard reads nothing else of the key values.
+ *
+ * @param graph the trace's dependency graph (from TraceGraph::build)
+ */
+std::vector<uint64_t> spanKeys(const trace::Trace &trace,
+                               const trace::TraceGraph &graph,
+                               const SpanSetOptions &opts = {});
+
+/**
+ * Encode a trace as a weighted span set: each span's spanKeys() key
+ * weighted by its duration.
  *
  * @param trace the trace
  * @param graph its dependency graph (from TraceGraph::build)

@@ -71,24 +71,14 @@ SpanAssembler::add(SpanEvent event)
 bool
 SpanAssembler::indexSpan(Pending &p, const std::string &span_id)
 {
-    // The slot for `id`: the one holding a span with that id, or the
-    // empty one where the probe from its hash stops.
-    auto probe = [&p](const std::string &id) -> uint32_t & {
-        const size_t mask = p.slots.size() - 1;
-        for (size_t h = std::hash<std::string_view>{}(id) & mask;;
-             h = (h + 1) & mask) {
-            uint32_t &slot = p.slots[h];
-            if (slot == 0 || p.spans[slot - 1].spanId == id)
-                return slot;
-        }
-    };
     const size_t pos = p.spans.size();
     if (2 * (pos + 1) > p.slots.size()) {
         p.slots.assign(std::max<size_t>(8, 2 * p.slots.size()), 0);
         for (size_t i = 0; i < pos; ++i)
-            probe(p.spans[i].spanId) = static_cast<uint32_t>(i + 1);
+            trace::spanIndexSlot(p.slots, p.spans, p.spans[i].spanId) =
+                static_cast<uint32_t>(i + 1);
     }
-    uint32_t &slot = probe(span_id);
+    uint32_t &slot = trace::spanIndexSlot(p.slots, p.spans, span_id);
     if (slot != 0)
         return false;
     slot = static_cast<uint32_t>(pos + 1);

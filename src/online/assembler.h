@@ -136,7 +136,8 @@ class SpanAssembler
          * spans per second). Open addressing: a power-of-two table at
          * least twice the span count, grown by doubling; a slot holds
          * a position in `spans` plus one (0 = empty), probed linearly
-         * from the span id's hash.
+         * from the span id's hash (trace::spanIndexSlot, which
+         * TraceGraph::tryBuild shares).
          */
         std::vector<uint32_t> slots;
         /**

@@ -1,5 +1,7 @@
 #include "trace_store.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -70,19 +72,27 @@ TraceStore::restoreRecord(trace::ColumnarTrace columns, int64_t sloUs,
 void
 TraceStore::admitRecord(Record record)
 {
-    size_t id = record.id;
     record.traceIdHash = util::fnv1a(record.traceId());
-    by_start_.emplace(record.startUs(), id);
     total_spans_ += record.spanCount();
-    records_.emplace(id, std::move(record));
+    const size_t id = record.id;
+    const Record &stored = records_.emplace(id, std::move(record))
+                               .first->second;
+    by_start_.emplace(stored.startUs(), &stored);
 }
 
 void
 TraceStore::evictById(size_t id)
 {
-    SLEUTH_ASSERT(records_.count(id) > 0,
+    auto rec_it = records_.find(id);
+    SLEUTH_ASSERT(rec_it != records_.end(),
                   "evictById on an id that is not live");
-    evictOne(id);
+    const Record *rec = &rec_it->second;
+    auto [lo, hi] = by_start_.equal_range(rec->startUs());
+    auto pos = std::find_if(lo, hi, [rec](const auto &entry) {
+        return entry.second == rec;
+    });
+    SLEUTH_ASSERT(pos != hi, "live record missing from the time index");
+    evictOne(pos);
 }
 
 std::vector<size_t>
@@ -109,31 +119,22 @@ TraceStore::enforceRetention(size_t protected_id)
     // times in insertion order, so the scan is deterministic.
     while (over() && records_.size() > 1) {
         auto it = by_start_.begin();
-        if (it->second == protected_id) {
+        if (it->second->id == protected_id) {
             auto next = std::next(it);
             if (next == by_start_.end())
                 break;
             it = next;
         }
-        evictOne(it->second);
+        evictOne(it);
     }
 }
 
 void
-TraceStore::evictOne(size_t id)
+TraceStore::evictOne(TimeIndex::iterator pos)
 {
-    auto rec_it = records_.find(id);
-    SLEUTH_ASSERT(rec_it != records_.end(), "evicting unknown record");
-    const Record &rec = rec_it->second;
-
-    int64_t start = rec.startUs();
-    auto [lo, hi] = by_start_.equal_range(start);
-    for (auto it = lo; it != hi; ++it) {
-        if (it->second == id) {
-            by_start_.erase(it);
-            break;
-        }
-    }
+    const Record &rec = *pos->second;
+    const size_t id = rec.id;
+    by_start_.erase(pos);
     total_spans_ -= rec.spanCount();
     ++evictions_.records;
     evictions_.spans += rec.spanCount();
@@ -147,7 +148,7 @@ TraceStore::evictOne(size_t id)
     spans.add(rec.spanCount());
     if (track_evictions_)
         recent_evictions_.push_back(id);
-    records_.erase(rec_it);
+    records_.erase(id);
 }
 
 const Record &
@@ -189,7 +190,7 @@ TraceStore::query(const Query &q) const
     auto hi = q.maxStartUs ? by_start_.lower_bound(*q.maxStartUs)
                            : by_start_.end();
     for (auto it = lo; it != hi; ++it) {
-        const Record &r = records_.at(it->second);
+        const Record &r = *it->second;
         if (matches(r)) {
             out.push_back(&r);
             if (q.limit && out.size() >= q.limit)
@@ -225,7 +226,7 @@ TraceStore::memoryBytes() const
                  sizeof(trace::ColumnarTrace) + r.columns.memoryBytes();
     }
     bytes += by_start_.size() *
-             (kMapNodeOverhead + sizeof(int64_t) + sizeof(size_t));
+             (kMapNodeOverhead + sizeof(int64_t) + sizeof(const Record *));
     return bytes;
 }
 

@@ -282,19 +282,24 @@ class TraceStore
     /** Evict oldest records until the retention budget fits. */
     void enforceRetention(size_t protected_id);
 
-    void evictOne(size_t id);
+    /**
+     * The one index: (startUs, record), kept sorted. The records are
+     * nodes of records_, which never move, so a hit reads its record
+     * without a records_ lookup. Equal start times keep insertion
+     * order, which is id order (inserts allocate ascending ids and
+     * recovery restores records in id order).
+     */
+    using TimeIndex = std::multimap<int64_t, const Record *>;
+
+    /** Evict the record at this time-index position. */
+    void evictOne(TimeIndex::iterator pos);
 
     /** Index + admit a fully-formed record (shared insert/restore). */
     void admitRecord(Record record);
 
     /** id -> record; a map so eviction can erase without moving ids. */
     std::map<size_t, Record> records_;
-    /**
-     * The one index: (startUs, record id), kept sorted. Equal start
-     * times keep insertion order, which is id order (inserts allocate
-     * ascending ids and recovery restores records in id order).
-     */
-    std::multimap<int64_t, size_t> by_start_;
+    TimeIndex by_start_;
     std::shared_ptr<trace::StringInterner> interner_;
     size_t total_spans_ = 0;
     size_t next_id_ = 0;

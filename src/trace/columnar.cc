@@ -17,41 +17,6 @@ SpanColumns::arenaAdd(std::string_view s)
 }
 
 void
-SpanColumns::append(const Span &s, StringInterner &interner)
-{
-    span_id_.push_back(arenaAdd(s.spanId));
-    parent_id_.push_back(arenaAdd(s.parentSpanId));
-    service_.push_back(interner.intern(s.service));
-    name_.push_back(interner.intern(s.name));
-    container_.push_back(interner.intern(s.container));
-    pod_.push_back(interner.intern(s.pod));
-    node_.push_back(interner.intern(s.node));
-    kind_.push_back(static_cast<uint8_t>(s.kind));
-    status_.push_back(static_cast<uint8_t>(s.status));
-    start_.push_back(s.startUs);
-    end_.push_back(s.endUs);
-}
-
-Span
-SpanColumns::materialize(size_t i, const StringInterner &interner) const
-{
-    SLEUTH_ASSERT(i < size(), "span column index out of range");
-    Span s;
-    s.spanId = std::string(spanId(i));
-    s.parentSpanId = std::string(parentSpanId(i));
-    s.service = interner.name(service_[i]);
-    s.name = interner.name(name_[i]);
-    s.container = interner.name(container_[i]);
-    s.pod = interner.name(pod_[i]);
-    s.node = interner.name(node_[i]);
-    s.kind = kind(i);
-    s.status = status(i);
-    s.startUs = start_[i];
-    s.endUs = end_[i];
-    return s;
-}
-
-void
 SpanColumns::clear()
 {
     arena_.clear();
@@ -185,19 +150,47 @@ SpanColumns::memoryBytes() const
     return bytes;
 }
 
+namespace {
+
+/** Vocabulary fields per span: service, name, container, pod, node. */
+constexpr size_t kVocabFields = 5;
+
+} // namespace
+
 ColumnarTrace::ColumnarTrace(const Trace &t,
                              std::shared_ptr<StringInterner> interner)
     : trace_id_(t.traceId), interner_(std::move(interner))
 {
     SLEUTH_ASSERT(interner_ != nullptr,
                   "ColumnarTrace requires an interner");
+    const size_t n = t.spans.size();
     size_t arena_bytes = 0;
-    for (const Span &s : t.spans)
+    std::vector<std::string_view> vocab;
+    vocab.reserve(kVocabFields * n);
+    for (const Span &s : t.spans) {
         arena_bytes += s.spanId.size() + s.parentSpanId.size();
-    cols_.reserve(t.spans.size(), arena_bytes);
-    for (size_t i = 0; i < t.spans.size(); ++i) {
-        cols_.append(t.spans[i], *interner_);
-        if (root_ < 0 && t.spans[i].parentSpanId.empty())
+        vocab.insert(vocab.end(),
+                     {s.service, s.name, s.container, s.pod, s.node});
+    }
+    std::vector<uint32_t> ids(vocab.size());
+    interner_->internAll(vocab, ids);
+
+    cols_.reserve(n, arena_bytes);
+    for (size_t i = 0; i < n; ++i) {
+        const Span &s = t.spans[i];
+        const uint32_t *id = &ids[kVocabFields * i];
+        cols_.span_id_.push_back(cols_.arenaAdd(s.spanId));
+        cols_.parent_id_.push_back(cols_.arenaAdd(s.parentSpanId));
+        cols_.service_.push_back(id[0]);
+        cols_.name_.push_back(id[1]);
+        cols_.container_.push_back(id[2]);
+        cols_.pod_.push_back(id[3]);
+        cols_.node_.push_back(id[4]);
+        cols_.kind_.push_back(static_cast<uint8_t>(s.kind));
+        cols_.status_.push_back(static_cast<uint8_t>(s.status));
+        cols_.start_.push_back(s.startUs);
+        cols_.end_.push_back(s.endUs);
+        if (root_ < 0 && s.parentSpanId.empty())
             root_ = static_cast<int>(i);
     }
 }
@@ -205,11 +198,34 @@ ColumnarTrace::ColumnarTrace(const Trace &t,
 Trace
 ColumnarTrace::toTrace() const
 {
+    const size_t n = cols_.size();
+    std::vector<uint32_t> ids;
+    ids.reserve(kVocabFields * n);
+    for (size_t i = 0; i < n; ++i)
+        ids.insert(ids.end(), {cols_.service_[i], cols_.name_[i],
+                               cols_.container_[i], cols_.pod_[i],
+                               cols_.node_[i]});
+    std::vector<const std::string *> names(ids.size());
+    interner_->resolveAll(ids, names);
+
     Trace t;
     t.traceId = trace_id_;
-    t.spans.reserve(cols_.size());
-    for (size_t i = 0; i < cols_.size(); ++i)
-        t.spans.push_back(cols_.materialize(i, *interner_));
+    t.spans.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+        Span &s = t.spans[i];
+        const std::string *const *name = &names[kVocabFields * i];
+        s.spanId = cols_.spanId(i);
+        s.parentSpanId = cols_.parentSpanId(i);
+        s.service = *name[0];
+        s.name = *name[1];
+        s.container = *name[2];
+        s.pod = *name[3];
+        s.node = *name[4];
+        s.kind = cols_.kind(i);
+        s.status = cols_.status(i);
+        s.startUs = cols_.start_[i];
+        s.endUs = cols_.end_[i];
+    }
     return t;
 }
 

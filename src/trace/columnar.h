@@ -39,13 +39,14 @@ struct StrRef
     uint32_t len = 0;
 };
 
-/** Contiguous per-field arrays for a batch of spans. */
+/**
+ * Contiguous per-field arrays for a batch of spans. ColumnarTrace
+ * fills them from rows and reads rows back, interning or resolving a
+ * whole trace's vocabulary in one interner call.
+ */
 class SpanColumns
 {
   public:
-    /** Append one span, interning its vocabulary fields. */
-    void append(const Span &s, StringInterner &interner);
-
     size_t size() const { return start_.size(); }
     bool empty() const { return start_.empty(); }
 
@@ -74,9 +75,6 @@ class SpanColumns
     {
         return status(i) == StatusCode::Error;
     }
-
-    /** Materialize row i as a legacy Span (exact round trip). */
-    Span materialize(size_t i, const StringInterner &interner) const;
 
     void clear();
 
@@ -107,6 +105,8 @@ class SpanColumns
     size_t memoryBytes() const;
 
   private:
+    friend class ColumnarTrace;
+
     std::string_view view(StrRef r) const
     {
         return std::string_view(arena_.data() + r.off, r.len);
@@ -133,7 +133,13 @@ class ColumnarTrace
   public:
     ColumnarTrace() = default;
 
-    /** Encode a legacy trace (spans in the given order). */
+    /**
+     * Encode a legacy trace (spans in the given order), interning the
+     * five vocabulary fields of every span in one
+     * StringInterner::internAll call: span by span, and within a span
+     * service, name, container, pod, node (the order interning each
+     * field in turn would give).
+     */
     ColumnarTrace(const Trace &t,
                   std::shared_ptr<StringInterner> interner);
 
@@ -146,7 +152,11 @@ class ColumnarTrace
         return interner_;
     }
 
-    /** Materialize the full legacy trace (exact round trip). */
+    /**
+     * Materialize the full legacy trace (exact round trip), resolving
+     * the five vocabulary columns in one StringInterner::resolveAll
+     * call.
+     */
     Trace toTrace() const;
 
     /** Index of the first span with an empty parent id; -1 if none. */

@@ -16,6 +16,14 @@ StringInterner::intern(std::string_view s)
             return it->second;
     }
     std::unique_lock lock(mu_);
+    return internLocked(s);
+}
+
+uint32_t
+StringInterner::internLocked(std::string_view s)
+{
+    // Re-check: another thread may have interned `s` since the caller
+    // last looked under the shared lock.
     auto it = ids_.find(s);
     if (it != ids_.end())
         return it->second;
@@ -23,6 +31,46 @@ StringInterner::intern(std::string_view s)
     names_.emplace_back(s);
     ids_.emplace(std::string_view(names_.back()), id);
     return id;
+}
+
+void
+StringInterner::internAll(std::span<const std::string_view> strs,
+                          std::span<uint32_t> ids)
+{
+    SLEUTH_ASSERT(ids.size() == strs.size(),
+                  "internAll output length differs from input");
+    // No interner holds 2^32 - 1 strings, so the top id marks a miss.
+    constexpr uint32_t kNew = UINT32_MAX;
+    bool any_new = false;
+    {
+        std::shared_lock lock(mu_);
+        for (size_t i = 0; i < strs.size(); ++i) {
+            auto it = ids_.find(strs[i]);
+            any_new |= it == ids_.end();
+            ids[i] = it != ids_.end() ? it->second : kNew;
+        }
+    }
+    if (!any_new)
+        return;
+    // Input order assigns the new ids; a repeat later in the run finds
+    // the id its first occurrence just took.
+    std::unique_lock lock(mu_);
+    for (size_t i = 0; i < strs.size(); ++i)
+        if (ids[i] == kNew)
+            ids[i] = internLocked(strs[i]);
+}
+
+void
+StringInterner::resolveAll(std::span<const uint32_t> ids,
+                           std::span<const std::string *> out) const
+{
+    SLEUTH_ASSERT(out.size() == ids.size(),
+                  "resolveAll output length differs from input");
+    std::shared_lock lock(mu_);
+    for (size_t i = 0; i < ids.size(); ++i) {
+        SLEUTH_ASSERT(ids[i] < names_.size(), "interner id out of range");
+        out[i] = &names_[ids[i]];
+    }
 }
 
 std::optional<uint32_t>

@@ -13,14 +13,18 @@
  * ROADMAP item 3 (encoding caches keyed by interned ids) depends on
  * that stability.
  *
- * Thread safety: intern/find/name/size may be called concurrently from
- * any number of threads (shared_mutex; lookups take the shared lock).
+ * Thread safety: every member may be called concurrently from any
+ * number of threads (shared_mutex; lookups take the shared lock). The
+ * batch calls internAll/resolveAll take one lock for a whole run of
+ * strings or ids, so a trace costs one lock round trip, not one per
+ * field of every span.
  */
 
 #include <cstdint>
 #include <deque>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -37,6 +41,24 @@ class StringInterner
 
     /** Id of `s`, interning it first if unseen. */
     uint32_t intern(std::string_view s);
+
+    /**
+     * ids[i] = intern(strs[i]) for every i, in input order: the ids
+     * (and so the vocabulary order) equal those of interning each
+     * string in turn. Looks every string up under one shared lock and,
+     * only when some are new, interns those under one exclusive lock.
+     * `ids` must be as long as `strs`.
+     */
+    void internAll(std::span<const std::string_view> strs,
+                   std::span<uint32_t> ids);
+
+    /**
+     * out[i] = &name(ids[i]) for every i, under one shared lock. The
+     * pointers stay valid for the interner's lifetime. `out` must be
+     * as long as `ids`.
+     */
+    void resolveAll(std::span<const uint32_t> ids,
+                    std::span<const std::string *> out) const;
 
     /** Id of `s` if already interned; does not insert. */
     std::optional<uint32_t> find(std::string_view s) const;
@@ -65,6 +87,9 @@ class StringInterner
     size_t memoryBytes() const;
 
   private:
+    /** Id of `s`, inserting it if unseen; mu_ held exclusively. */
+    uint32_t internLocked(std::string_view s);
+
     struct SvHash
     {
         using is_transparent = void;

@@ -7,8 +7,10 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/span.h"
@@ -32,6 +34,28 @@ struct Trace
     /** True when any span carries an error status. */
     bool hasError() const;
 };
+
+/**
+ * The slot for span id `id` in an open-addressing index of positions
+ * in `spans`: a power-of-two table whose slots hold a position plus
+ * one (0 = empty), probed linearly from the id's hash. Returns the slot
+ * holding a span with that id, or the empty slot where the probe stops;
+ * the table must keep at least one slot empty. TraceGraph::tryBuild
+ * and the online assembler's duplicate check index spans with it, with
+ * no allocation per span.
+ */
+inline uint32_t &
+spanIndexSlot(std::span<uint32_t> slots, std::span<const Span> spans,
+              std::string_view id)
+{
+    const size_t mask = slots.size() - 1;
+    for (size_t h = std::hash<std::string_view>{}(id) & mask;;
+         h = (h + 1) & mask) {
+        uint32_t &slot = slots[h];
+        if (slot == 0 || spans[slot - 1].spanId == id)
+            return slot;
+    }
+}
 
 /**
  * The RPC dependency graph of one trace, reconstructed from parent span

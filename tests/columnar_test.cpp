@@ -51,16 +51,14 @@ decodes(const std::string &bytes,
 
 TEST(SpanColumns, AppendAndAccessors)
 {
-    StringInterner in;
-    SpanColumns cols;
-    trace::Trace t = sampleTrace();
-    for (const trace::Span &s : t.spans)
-        cols.append(s, in);
+    auto in = std::make_shared<StringInterner>();
+    ColumnarTrace ct(sampleTrace(), in);
+    const SpanColumns &cols = ct.columns();
     ASSERT_EQ(cols.size(), 3u);
     EXPECT_EQ(cols.spanId(1), "a");
     EXPECT_EQ(cols.parentSpanId(1), "p");
-    EXPECT_EQ(in.name(cols.serviceId(1)), "svc-a");
-    EXPECT_EQ(in.name(cols.nameId(2)), "opB");
+    EXPECT_EQ(in->name(cols.serviceId(1)), "svc-a");
+    EXPECT_EQ(in->name(cols.nameId(2)), "opB");
     EXPECT_EQ(cols.kind(1), trace::SpanKind::Client);
     EXPECT_EQ(cols.status(1), trace::StatusCode::Error);
     EXPECT_EQ(cols.startUs(2), 30);
@@ -72,18 +70,14 @@ TEST(SpanColumns, AppendAndAccessors)
 
 TEST(SpanColumns, SharedVocabularyIsInternedOnce)
 {
-    StringInterner in;
-    SpanColumns cols;
-    trace::Trace t = sampleTrace();
-    for (const trace::Span &s : t.spans)
-        cols.append(s, in);
-    size_t vocab = in.size();
+    auto in = std::make_shared<StringInterner>();
+    ColumnarTrace first(sampleTrace(), in);
+    size_t vocab = in->size();
     // A second identical trace adds zero new vocabulary entries.
-    for (const trace::Span &s : t.spans)
-        cols.append(s, in);
-    EXPECT_EQ(in.size(), vocab);
-    EXPECT_EQ(cols.serviceId(0), cols.serviceId(3));
-    EXPECT_EQ(cols.nameId(1), cols.nameId(4));
+    ColumnarTrace second(sampleTrace(), in);
+    EXPECT_EQ(in->size(), vocab);
+    EXPECT_EQ(first.columns().serviceId(0), second.columns().serviceId(0));
+    EXPECT_EQ(first.columns().nameId(1), second.columns().nameId(1));
 }
 
 TEST(ColumnarTrace, MaterializeRoundTripsEveryField)

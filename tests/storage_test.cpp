@@ -218,6 +218,49 @@ TEST(TraceStore, EqualStartTimesComeBackInIdOrder)
     }
 }
 
+TEST(TraceStore, EvictingOneOfEqualStartsKeepsTheOthersInIdOrder)
+{
+    // Three records share one root start. Evicting the middle one by
+    // id leaves the other two in id order: in the live store, in one
+    // recovered from its state, and down to the newest once retention
+    // shrinks either store to one record. A time-index entry left
+    // pointing at an evicted record shows in the ASan build.
+    auto ids = [](const std::vector<const Record *> &hits) {
+        std::vector<size_t> out;
+        for (const Record *r : hits)
+            out.push_back(r->id);
+        return out;
+    };
+    TraceStore store;
+    size_t a = store.insert(makeTrace("tie0", 50, 10, "alpha"));
+    size_t b = store.insert(makeTrace("tie1", 50, 30, "beta"));
+    size_t c = store.insert(makeTrace("tie2", 50, 20, "alpha"));
+    store.evictById(b);
+    EXPECT_EQ(store.evictions().records, 1u);
+    EXPECT_EQ(store.totalSpans(), 2u);
+
+    util::BinaryWriter w;
+    store.encodeState(w);
+    TraceStore recovered;
+    util::BinaryReader r(w.buffer());
+    ASSERT_TRUE(recovered.decodeState(r));
+    EXPECT_EQ(recovered.contentFingerprint(), store.contentFingerprint());
+
+    Query tie;
+    tie.minStartUs = 50;
+    tie.maxStartUs = 51;
+    for (TraceStore *s : {&store, &recovered}) {
+        EXPECT_EQ(ids(s->query(Query{})), (std::vector<size_t>{a, c}));
+        EXPECT_EQ(ids(s->query(tie)), (std::vector<size_t>{a, c}));
+        EXPECT_EQ(s->at(c).traceId(), "tie2");
+        s->setRetention(RetentionConfig{0, /*maxRecords=*/1});
+        EXPECT_EQ(ids(s->query(Query{})), (std::vector<size_t>{c}));
+        EXPECT_EQ(ids(s->query(tie)), (std::vector<size_t>{c}));
+        EXPECT_FALSE(s->contains(a));
+        EXPECT_EQ(s->evictions().records, 2u);
+    }
+}
+
 TEST(TraceStore, AnomalousFilterAndLimit)
 {
     TraceStore store;

@@ -7,6 +7,8 @@
 #   - pipeline_cache_test  warm ≡ cold re-poll, invalidation fallback
 #   - gnn_incremental_test incremental ≡ full counterfactual propagation
 #   - core_gnn_test        trained-model predictions pinned bit for bit
+#   - property_distance_test  span-set keys ≡ the byte-serial FNV chain
+#                          (equality classes, bitwise distance matrix)
 #   - campaign_corpus      pinned repro cases (incl. the
 #                          incremental-repoll invariant)
 #
