@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/simd.h"
 
@@ -11,198 +10,145 @@ namespace sleuth::distance {
 namespace {
 
 /**
- * Structure-of-arrays view of a batch of span sets: all keys and
- * weights concatenated contiguously with per-set offsets, plus the
- * per-set total weight. With integer-valued weights (span durations —
- * the production encoding) every partial sum is exactly representable,
- * so |A ∪ B| = totalA + totalB − |A ∩ B| reproduces the legacy
- * interleaved merge bit for bit while the intersection runs through
- * the vectorized kernel. Fractional weights (only seen from the
- * generic makeSpanSet API) fall back to the legacy per-pair merge.
+ * Structure-of-arrays view of a batch of span sets: every set's keys as
+ * storm-local dense ids (first-seen order), the weights concatenated
+ * with per-set offsets, and the per-set total weight.
+ *
+ * The batch is *exact* when every weight is a non-negative integer and
+ * every set's total is below 2^52 (production weights are span
+ * durations). Then every intersection sum, total and pair union
+ * (below 2^53) is exactly representable, so
+ * |A u B| = totalA + totalB - |A n B| reproduces the per-pair merge of
+ * jaccardDistance bit for bit, in any summation order. Other batches
+ * (fractional weights from the generic makeSpanSet API, huge totals,
+ * negative durations a collector accepted) take that merge itself.
  */
 struct SpanSetIndex
 {
-    std::vector<uint64_t> keys;
+    std::vector<uint32_t> ids;
     std::vector<double> weights;
     std::vector<size_t> offsets; // size n+1
     std::vector<double> totals;
-    bool integral = true;
+    size_t vocab = 0;            // distinct keys
+    bool exact = true;
+};
+
+/** Storm-local dense ids of span-set keys, in first-seen order. */
+class DenseIds
+{
+  public:
+    size_t size() const { return size_; }
+
+    uint32_t
+    operator()(uint64_t key)
+    {
+        if (2 * (size_ + 1) > slots_.size())
+            rehash(slots_.empty() ? 256 : 2 * slots_.size());
+        Slot *s = find(key);
+        if (s->id == kNone)
+            *s = {key, static_cast<uint32_t>(size_++)};
+        return s->id;
+    }
+
+  private:
+    static constexpr uint32_t kNone = UINT32_MAX;
+    struct Slot
+    {
+        uint64_t key = 0;
+        uint32_t id = kNone;
+    };
+
+    /** The key's slot, or the empty slot where it belongs. */
+    Slot *
+    find(uint64_t key)
+    {
+        const size_t mask = slots_.size() - 1;
+        for (size_t h = (key * 0x9e3779b97f4a7c15ull) >> 32 & mask;;
+             h = (h + 1) & mask)
+            if (slots_[h].id == kNone || slots_[h].key == key)
+                return &slots_[h];
+    }
+
+    void
+    rehash(size_t capacity)
+    {
+        std::vector<Slot> old(capacity);
+        old.swap(slots_);
+        for (const Slot &s : old)
+            if (s.id != kNone)
+                *find(s.key) = s;
+    }
+
+    std::vector<Slot> slots_; // linear probing, a power of two
+    size_t size_ = 0;
 };
 
 SpanSetIndex
 buildIndex(const std::vector<WeightedSpanSet> &sets)
 {
+    constexpr double kTotalBound = 4503599627370496.0; // 2^52
     SpanSetIndex ix;
     size_t total_entries = 0;
     for (const WeightedSpanSet &s : sets)
         total_entries += s.size();
-    ix.keys.reserve(total_entries);
+    ix.ids.reserve(total_entries);
     ix.weights.reserve(total_entries);
     ix.offsets.reserve(sets.size() + 1);
     ix.offsets.push_back(0);
     ix.totals.reserve(sets.size());
+    DenseIds dense;
     for (const WeightedSpanSet &s : sets) {
         double tot = 0.0;
         for (const auto &[k, w] : s) {
-            ix.keys.push_back(k);
+            if (!(w >= 0.0 && std::floor(w) == w)) {
+                ix.exact = false;
+                return ix;
+            }
+            ix.ids.push_back(dense(k));
             ix.weights.push_back(w);
-            if (!(std::floor(w) == w))
-                ix.integral = false;
             tot += w;
         }
-        // Exactness also needs every partial sum below 2^53; bound the
-        // per-set total well inside that.
-        if (!(std::abs(tot) < 9.0e15))
-            ix.integral = false;
+        if (!(tot < kTotalBound)) {
+            ix.exact = false;
+            return ix;
+        }
         ix.totals.push_back(tot);
-        ix.offsets.push_back(ix.keys.size());
+        ix.offsets.push_back(ix.ids.size());
     }
+    ix.vocab = dense.size();
     return ix;
 }
 
 /**
- * Key-set groups. Span-set keys hash only trace *structure* (service,
- * operation, kind, error flag, calling path), never durations, so in a
- * storm most traces share a handful of distinct key vectors (one per
- * flow × error pattern). Grouping sets by key vector lets us compute
- * each group pair's intersection *positions* once and reduce every
- * trace pair to a short branchless gather-min-sum over those
- * positions — instead of O(n²) two-pointer merges. Exactness makes
- * this safe: the grouped path only runs on integral-weight batches,
- * where every accumulation order yields the same bits.
+ * Rows i0 .. i0+3 (those below n) of an exact batch. The block's sets
+ * are scattered into `rows4` at id*4 + lane; one kernel pass over every
+ * earlier set j then gathers j's keys once for all four intersections.
+ * The gather for set i0+q also serves lanes r > q, so the pairs inside
+ * the block come out of the same pass. `rows4` (4 * vocab doubles) is
+ * all zero on entry and on return; `inter` holds 4 * n doubles.
  */
-struct SetGroups
-{
-    bool usable = false;
-    std::vector<uint32_t> group; // set -> group id
-    std::vector<size_t> rep;     // group -> first set with that key vector
-    // Flattened intersection offset pairs for group pair (hi, lo),
-    // hi > lo, packed at pairOff[hi*(hi-1)/2 + lo]: ia indexes into
-    // the hi-group set, ib into the lo-group set.
-    std::vector<uint32_t> ia, ib;
-    std::vector<size_t> pairOff; // size npairs + 1
-};
-
-SetGroups
-buildGroups(const SpanSetIndex &ix)
-{
-    // Past this many distinct key vectors the precompute stops paying
-    // for itself; fall back to per-pair merges.
-    constexpr size_t kMaxGroups = 64;
-    SetGroups g;
-    const size_t n = ix.offsets.size() - 1;
-    g.group.resize(n);
-    std::unordered_map<uint64_t, std::vector<uint32_t>> byHash;
-    for (size_t s = 0; s < n; ++s) {
-        const uint64_t *k = ix.keys.data() + ix.offsets[s];
-        const size_t len = ix.offsets[s + 1] - ix.offsets[s];
-        uint64_t h = 1469598103934665603ull;
-        for (size_t t = 0; t < len; ++t) {
-            h ^= k[t];
-            h *= 1099511628211ull;
-        }
-        uint32_t gid = UINT32_MAX;
-        std::vector<uint32_t> &cands = byHash[h];
-        for (uint32_t c : cands) {
-            const size_t r = g.rep[c];
-            if (ix.offsets[r + 1] - ix.offsets[r] == len &&
-                std::equal(k, k + len, ix.keys.data() + ix.offsets[r])) {
-                gid = c;
-                break;
-            }
-        }
-        if (gid == UINT32_MAX) {
-            if (g.rep.size() >= kMaxGroups)
-                return g;
-            gid = static_cast<uint32_t>(g.rep.size());
-            g.rep.push_back(s);
-            cands.push_back(gid);
-        }
-        g.group[s] = gid;
-    }
-    const size_t ng = g.rep.size();
-    g.pairOff.reserve(ng * (ng - 1) / 2 + 1);
-    g.pairOff.push_back(0);
-    for (size_t hi = 1; hi < ng; ++hi) {
-        const uint64_t *ka = ix.keys.data() + ix.offsets[g.rep[hi]];
-        const size_t na =
-            ix.offsets[g.rep[hi] + 1] - ix.offsets[g.rep[hi]];
-        for (size_t lo = 0; lo < hi; ++lo) {
-            const uint64_t *kb =
-                ix.keys.data() + ix.offsets[g.rep[lo]];
-            const size_t nb =
-                ix.offsets[g.rep[lo] + 1] - ix.offsets[g.rep[lo]];
-            size_t a = 0, b = 0;
-            while (a < na && b < nb) {
-                if (ka[a] < kb[b]) {
-                    ++a;
-                } else if (kb[b] < ka[a]) {
-                    ++b;
-                } else {
-                    g.ia.push_back(static_cast<uint32_t>(a));
-                    g.ib.push_back(static_cast<uint32_t>(b));
-                    ++a;
-                    ++b;
-                }
-            }
-            g.pairOff.push_back(g.ia.size());
-        }
-    }
-    g.usable = true;
-    return g;
-}
-
-/** Grouped weighted-Jaccard row i (integral weights, few key sets). */
 void
-jaccardRowGrouped(const SpanSetIndex &ix, const SetGroups &g, size_t i,
-                  std::vector<double> &d)
+jaccardBlock(const SpanSetIndex &ix, size_t i0, double *rows4,
+             double *inter, double *d)
 {
-    double *row = d.data() + i * (i - 1) / 2;
-    const double *wa = ix.weights.data() + ix.offsets[i];
-    const uint32_t gi = g.group[i];
-    for (size_t j = 0; j < i; ++j) {
-        const double *wb = ix.weights.data() + ix.offsets[j];
-        const uint32_t gj = g.group[j];
-        double inter = 0.0;
-        if (gi == gj) {
-            // Identical key vectors: the intersection is every entry.
-            const size_t len = ix.offsets[i + 1] - ix.offsets[i];
-            for (size_t t = 0; t < len; ++t)
-                inter += (wa[t] < wb[t]) ? wa[t] : wb[t];
-        } else {
-            const uint32_t hi = gi > gj ? gi : gj;
-            const uint32_t lo = gi > gj ? gj : gi;
-            const double *wh = gi > gj ? wa : wb;
-            const double *wl = gi > gj ? wb : wa;
-            const size_t p = static_cast<size_t>(hi) * (hi - 1) / 2 + lo;
-            for (size_t t = g.pairOff[p]; t < g.pairOff[p + 1]; ++t) {
-                const double x = wh[g.ia[t]];
-                const double y = wl[g.ib[t]];
-                inter += (x < y) ? x : y;
-            }
+    const size_t lanes = std::min<size_t>(4, ix.totals.size() - i0);
+    for (size_t r = 0; r < lanes; ++r)
+        for (size_t t = ix.offsets[i0 + r]; t < ix.offsets[i0 + r + 1]; ++t)
+            rows4[size_t{ix.ids[t]} * 4 + r] = ix.weights[t];
+    simd::gatherMinSums4(rows4, ix.ids.data(), ix.weights.data(),
+                         ix.offsets.data(), i0 + lanes - 1, inter);
+    for (size_t r = 0; r < lanes; ++r) {
+        const size_t i = i0 + r;
+        double *row = d + i * (i - 1) / 2;
+        for (size_t j = 0; j < i; ++j) {
+            const double in = inter[4 * j + r];
+            const double uni = ix.totals[i] + ix.totals[j] - in;
+            row[j] = uni <= 0.0 ? 0.0 : 1.0 - in / uni;
         }
-        const double uni = ix.totals[i] + ix.totals[j] - inter;
-        row[j] = uni <= 0.0 ? 0.0 : 1.0 - inter / uni;
     }
-}
-
-/** Vectorized weighted-Jaccard row i (integral-weight batches). */
-void
-jaccardRowIndexed(const SpanSetIndex &ix, size_t i,
-                  std::vector<double> &d)
-{
-    double *row = d.data() + i * (i - 1) / 2;
-    const uint64_t *ka = ix.keys.data() + ix.offsets[i];
-    const double *wa = ix.weights.data() + ix.offsets[i];
-    const size_t na = ix.offsets[i + 1] - ix.offsets[i];
-    for (size_t j = 0; j < i; ++j) {
-        const double inter = simd::sortedIntersectMinSum(
-            ka, wa, na, ix.keys.data() + ix.offsets[j],
-            ix.weights.data() + ix.offsets[j],
-            ix.offsets[j + 1] - ix.offsets[j]);
-        const double uni = ix.totals[i] + ix.totals[j] - inter;
-        row[j] = uni <= 0.0 ? 0.0 : 1.0 - inter / uni;
-    }
+    for (size_t r = 0; r < lanes; ++r)
+        for (size_t t = ix.offsets[i0 + r]; t < ix.offsets[i0 + r + 1]; ++t)
+            rows4[size_t{ix.ids[t]} * 4 + r] = 0.0;
 }
 
 /** Legacy weighted-Jaccard row i (general weights). */
@@ -237,29 +183,33 @@ DistanceMatrix::fromSpanSets(const std::vector<WeightedSpanSet> &sets,
     if (n < 2)
         return m;
     const SpanSetIndex ix = buildIndex(sets);
-    const SetGroups groups =
-        ix.integral ? buildGroups(ix) : SetGroups{};
-    auto row = [&](size_t i) {
-        if (ix.integral && groups.usable)
-            jaccardRowGrouped(ix, groups, i, m.d_);
-        else if (ix.integral)
-            jaccardRowIndexed(ix, i, m.d_);
-        else
-            jaccardRow(sets, i, m.d_);
+    const size_t workers = pool != nullptr ? pool->size() : 1;
+    // An exact batch runs blocks of four rows from row 1; any other
+    // batch runs the legacy merge row by row.
+    const size_t tasks = ix.exact ? (n + 2) / 4 : n - 1;
+    std::vector<std::vector<double>> scratch(
+        ix.exact ? workers : 0, std::vector<double>(4 * (ix.vocab + n)));
+    auto task = [&](size_t t, size_t worker) {
+        if (!ix.exact) {
+            jaccardRow(sets, 1 + t, m.d_);
+            return;
+        }
+        double *rows4 = scratch[worker].data();
+        jaccardBlock(ix, 1 + 4 * t, rows4, rows4 + 4 * ix.vocab,
+                     m.d_.data());
     };
-    if (!pool || pool->size() == 1) {
-        for (size_t i = 1; i < n; ++i)
-            row(i);
+    if (workers == 1) {
+        for (size_t t = 0; t < tasks; ++t)
+            task(t, 0);
         return m;
     }
-    // Row i costs i merge passes, so contiguous row chunks would load
-    // the last worker quadratically. Pair cheap and expensive rows
-    // (k <-> n-1-k) so every contiguous index chunk carries ~equal
-    // work; each row writes a disjoint packed slice, so the matrix is
-    // identical for any thread count.
-    pool->parallelFor(n - 1, [&](size_t idx, size_t) {
-        size_t i = (idx % 2 == 0) ? 1 + idx / 2 : n - 1 - idx / 2;
-        row(i);
+    // Task t costs about t gathers or merges, so contiguous chunks
+    // would load the last worker quadratically. Pair cheap and
+    // expensive tasks (k <-> tasks-1-k) so every contiguous index chunk
+    // carries ~equal work; each task writes disjoint packed rows, so
+    // the matrix is identical for any thread count.
+    pool->parallelFor(tasks, [&](size_t idx, size_t worker) {
+        task(idx % 2 == 0 ? idx / 2 : tasks - 1 - idx / 2, worker);
     });
     return m;
 }

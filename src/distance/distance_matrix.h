@@ -46,13 +46,18 @@ class DistanceMatrix
 
     /**
      * Pairwise weighted-Jaccard distances over pre-encoded span sets —
-     * the default storm-batch path (one merge pass per pair, no oracle
-     * indirection).
+     * the default storm-batch path, bitwise equal to jaccardDistance on
+     * every pair. When every weight is a non-negative integer and every
+     * set's total is below 2^52, rows go in blocks of four: the block's
+     * sets are scattered by storm-local key id, and one gather pass over
+     * each earlier set yields all four intersections
+     * (simd::gatherMinSums4). Other batches take jaccardDistance per
+     * pair.
      *
-     * @param pool optional worker pool; rows are computed in parallel
-     *        (each row i writes the disjoint packed slice i(i-1)/2 ..
-     *        i(i+1)/2, so the result is identical for any thread
-     *        count). nullptr = serial.
+     * @param pool optional worker pool; blocks (or rows) are computed in
+     *        parallel, each writing disjoint packed rows (row i holds
+     *        i(i-1)/2 .. i(i+1)/2), so the result is identical for any
+     *        thread count. nullptr = serial.
      */
     static DistanceMatrix fromSpanSets(
         const std::vector<WeightedSpanSet> &sets,

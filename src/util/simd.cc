@@ -130,43 +130,25 @@ dotRows4(const double *a, const double *b0, const double *b1,
     out[3] = s3;
 }
 
-double
-sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
-                      const uint64_t *kb, const double *wb, size_t nb)
+void
+gatherMinSums4(const double *rows4, const uint32_t *ids, const double *w,
+               const size_t *offsets, size_t nsets, double *out)
 {
-    // The block compare is only attempted once the heads already
-    // match: disjoint stretches (the common case for traces of
-    // different flows) run the tight two-pointer merge with no vector
-    // overhead, while near-identical key arrays (same-flow traces)
-    // take 4-wide steps.
-    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-    double singles = 0.0;
-    size_t i = 0, j = 0;
-    while (i < na && j < nb) {
-        if (ka[i] < kb[j]) {
-            ++i;
-            continue;
+    for (size_t j = 0; j < nsets; ++j) {
+        double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+        for (size_t t = offsets[j]; t < offsets[j + 1]; ++t) {
+            const double *x = rows4 + size_t{ids[t]} * 4;
+            const double y = w[t];
+            l0 += (x[0] < y) ? x[0] : y;
+            l1 += (x[1] < y) ? x[1] : y;
+            l2 += (x[2] < y) ? x[2] : y;
+            l3 += (x[3] < y) ? x[3] : y;
         }
-        if (kb[j] < ka[i]) {
-            ++j;
-            continue;
-        }
-        if (i + 4 <= na && j + 4 <= nb && ka[i + 1] == kb[j + 1] &&
-            ka[i + 2] == kb[j + 2] && ka[i + 3] == kb[j + 3]) {
-            // MINPD semantics: second operand wins ties/NaN.
-            l0 += (wa[i] < wb[j]) ? wa[i] : wb[j];
-            l1 += (wa[i + 1] < wb[j + 1]) ? wa[i + 1] : wb[j + 1];
-            l2 += (wa[i + 2] < wb[j + 2]) ? wa[i + 2] : wb[j + 2];
-            l3 += (wa[i + 3] < wb[j + 3]) ? wa[i + 3] : wb[j + 3];
-            i += 4;
-            j += 4;
-            continue;
-        }
-        singles += (wa[i] < wb[j]) ? wa[i] : wb[j];
-        ++i;
-        ++j;
+        out[4 * j] = l0;
+        out[4 * j + 1] = l1;
+        out[4 * j + 2] = l2;
+        out[4 * j + 3] = l3;
     }
-    return ((l0 + l1) + (l2 + l3)) + singles;
 }
 
 } // namespace scalar
@@ -313,48 +295,43 @@ dotRows4(const double *a, const double *b0, const double *b1,
     _mm256_storeu_pd(out, acc);
 }
 
-__attribute__((target("avx2"))) double
-sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
-                      const uint64_t *kb, const double *wb, size_t nb)
+/** acc + min(rows4[id*4 ..], w): one key of gatherMinSums4. */
+__attribute__((target("avx2"))) inline __m256d
+minAdd(__m256d acc, const double *rows4, uint32_t id, double w)
 {
-    // Mirror of the scalar merge structure: the vector compare is only
-    // attempted once the heads already match, so disjoint stretches
-    // cost exactly a two-pointer merge and equal runs take 4-wide
-    // steps through MINPD.
-    __m256d acc = _mm256_setzero_pd();
-    double singles = 0.0;
-    size_t i = 0, j = 0;
-    while (i < na && j < nb) {
-        if (ka[i] < kb[j]) {
-            ++i;
-            continue;
+    const __m256d x = _mm256_loadu_pd(rows4 + size_t{id} * 4);
+    return _mm256_add_pd(acc, _mm256_min_pd(x, _mm256_set1_pd(w)));
+}
+
+__attribute__((target("avx2"))) void
+gatherMinSums4(const double *rows4, const uint32_t *ids, const double *w,
+               const size_t *offsets, size_t nsets, double *out)
+{
+    // Two sets at a time, so one set's add chain overlaps the other's
+    // latency; each output still adds its set's keys in ascending t.
+    size_t j = 0;
+    for (; j + 2 <= nsets; j += 2) {
+        __m256d a = _mm256_setzero_pd();
+        __m256d b = _mm256_setzero_pd();
+        size_t ta = offsets[j], tb = offsets[j + 1];
+        const size_t ea = offsets[j + 1], eb = offsets[j + 2];
+        for (; ta < ea && tb < eb; ++ta, ++tb) {
+            a = minAdd(a, rows4, ids[ta], w[ta]);
+            b = minAdd(b, rows4, ids[tb], w[tb]);
         }
-        if (kb[j] < ka[i]) {
-            ++j;
-            continue;
-        }
-        if (i + 4 <= na && j + 4 <= nb) {
-            const __m256i keya = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(ka + i));
-            const __m256i keyb = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(kb + j));
-            const __m256i eq = _mm256_cmpeq_epi64(keya, keyb);
-            if (_mm256_movemask_pd(_mm256_castsi256_pd(eq)) == 0xF) {
-                const __m256d va = _mm256_loadu_pd(wa + i);
-                const __m256d vb = _mm256_loadu_pd(wb + j);
-                acc = _mm256_add_pd(acc, _mm256_min_pd(va, vb));
-                i += 4;
-                j += 4;
-                continue;
-            }
-        }
-        singles += (wa[i] < wb[j]) ? wa[i] : wb[j];
-        ++i;
-        ++j;
+        for (; ta < ea; ++ta)
+            a = minAdd(a, rows4, ids[ta], w[ta]);
+        for (; tb < eb; ++tb)
+            b = minAdd(b, rows4, ids[tb], w[tb]);
+        _mm256_storeu_pd(out + 4 * j, a);
+        _mm256_storeu_pd(out + 4 * j + 4, b);
     }
-    alignas(32) double lane[4];
-    _mm256_store_pd(lane, acc);
-    return ((lane[0] + lane[1]) + (lane[2] + lane[3])) + singles;
+    if (j < nsets) {
+        __m256d a = _mm256_setzero_pd();
+        for (size_t t = offsets[j]; t < offsets[j + 1]; ++t)
+            a = minAdd(a, rows4, ids[t], w[t]);
+        _mm256_storeu_pd(out + 4 * j, a);
+    }
 }
 
 } // namespace avx2
@@ -410,11 +387,11 @@ dotRows4(const double *a, const double *b0, const double *b1,
     scalar::dotRows4(a, b0, b1, b2, b3, n, out);
 }
 
-double
-sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
-                      const uint64_t *kb, const double *wb, size_t nb)
+void
+gatherMinSums4(const double *rows4, const uint32_t *ids, const double *w,
+               const size_t *offsets, size_t nsets, double *out)
 {
-    return scalar::sortedIntersectMinSum(ka, wa, na, kb, wb, nb);
+    scalar::gatherMinSums4(rows4, ids, w, offsets, nsets, out);
 }
 
 } // namespace avx2
@@ -483,13 +460,14 @@ dotRows4(const double *a, const double *b0, const double *b1,
         scalar::dotRows4(a, b0, b1, b2, b3, n, out);
 }
 
-double
-sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
-                      const uint64_t *kb, const double *wb, size_t nb)
+void
+gatherMinSums4(const double *rows4, const uint32_t *ids, const double *w,
+               const size_t *offsets, size_t nsets, double *out)
 {
-    return active() ? avx2::sortedIntersectMinSum(ka, wa, na, kb, wb, nb)
-                    : scalar::sortedIntersectMinSum(ka, wa, na, kb, wb,
-                                                    nb);
+    if (active())
+        avx2::gatherMinSums4(rows4, ids, w, offsets, nsets, out);
+    else
+        scalar::gatherMinSums4(rows4, ids, w, offsets, nsets, out);
 }
 
 } // namespace sleuth::simd

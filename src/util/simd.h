@@ -16,10 +16,11 @@
  * same IEEE-754 operations in the same order as the AVX2 body's lane
  * structure (no FMA, no reassociated reductions beyond the documented
  * 4-lane split), so scalar and AVX2 results are bitwise identical for
- * all finite inputs. Callers that must stay bitwise-equal to *legacy*
- * single-accumulator loops (DistanceMatrix) only use the reassociating
- * kernels on inputs where every partial sum is exactly representable
- * (integer-valued weights below 2^53); see distance/trace_distance.cc.
+ * all finite inputs. DistanceMatrix, which must stay bitwise-equal to
+ * the per-pair jaccardDistance merge, takes the union from the identity
+ * |A u B| = |A| + |B| - |A n B| around gatherMinSums4, and so calls it
+ * only on batches where every sum is exact (non-negative integer
+ * weights, set totals below 2^52); see distance/distance_matrix.cc.
  */
 
 #include <cstddef>
@@ -104,15 +105,20 @@ void dotRows4(const double *a, const double *b0, const double *b1,
               double out[4]);
 
 /**
- * Sum of min(wa, wb) over the intersection of two strictly-ascending
- * unique key arrays (the weighted-Jaccard numerator). Accumulation
- * order: 4-key equal blocks add lanewise into four accumulators,
- * unpaired singles into a fifth; result is
- * ((l0+l1)+(l2+l3)) + singles. min is (a<b)?a:b (MINPD semantics).
+ * Weighted-Jaccard intersections of four sets against a run of sets,
+ * in one pass over the run. The four sets are scattered by dense key
+ * id: rows4[id*4 + r] is set r's weight for key id, 0 where set r
+ * lacks it. Set j of the run holds the ids ids[offsets[j] ..
+ * offsets[j+1]) with weights w[...]. For every j < nsets and lane r:
+ *   out[j*4 + r] = sum_t min(rows4[ids[t]*4 + r], w[t])
+ * over ascending t, one sequential accumulator per lane, min as
+ * (x<y)?x:y (MINPD semantics: the run's weight wins ties). The AVX2
+ * body loads the four lanes of a key with one 32-byte load and walks
+ * two sets of the run at a time.
  */
-double sortedIntersectMinSum(const uint64_t *ka, const double *wa,
-                             size_t na, const uint64_t *kb,
-                             const double *wb, size_t nb);
+void gatherMinSums4(const double *rows4, const uint32_t *ids,
+                    const double *w, const size_t *offsets, size_t nsets,
+                    double *out);
 
 namespace scalar {
 void axpy(double *y, double a, const double *x, size_t n);
@@ -125,9 +131,9 @@ double dotBlocked(const double *a, const double *b, size_t n);
 void dotRows4(const double *a, const double *b0, const double *b1,
               const double *b2, const double *b3, size_t n,
               double out[4]);
-double sortedIntersectMinSum(const uint64_t *ka, const double *wa,
-                             size_t na, const uint64_t *kb,
-                             const double *wb, size_t nb);
+void gatherMinSums4(const double *rows4, const uint32_t *ids,
+                    const double *w, const size_t *offsets, size_t nsets,
+                    double *out);
 } // namespace scalar
 
 namespace avx2 {
@@ -141,9 +147,9 @@ double dotBlocked(const double *a, const double *b, size_t n);
 void dotRows4(const double *a, const double *b0, const double *b1,
               const double *b2, const double *b3, size_t n,
               double out[4]);
-double sortedIntersectMinSum(const uint64_t *ka, const double *wa,
-                             size_t na, const uint64_t *kb,
-                             const double *wb, size_t nb);
+void gatherMinSums4(const double *rows4, const uint32_t *ids,
+                    const double *w, const size_t *offsets, size_t nsets,
+                    double *out);
 } // namespace avx2
 
 } // namespace sleuth::simd

@@ -191,89 +191,109 @@ TEST(SimdKernels, DotRows4BitwiseEqualsFourNaiveDots)
 
 namespace {
 
-/** Sorted unique keys with integer-valued weights (duration-like). */
-void
-randomSortedSet(util::Rng &rng, size_t n, std::vector<uint64_t> *keys,
-                std::vector<double> *weights)
+/** The documented gatherMinSums4 result, one plain loop per output. */
+std::vector<double>
+naiveGatherMinSums4(const std::vector<double> &rows4,
+                    const std::vector<uint32_t> &ids,
+                    const std::vector<double> &w,
+                    const std::vector<size_t> &offsets)
 {
-    keys->clear();
-    weights->clear();
-    uint64_t k = 0;
-    for (size_t i = 0; i < n; ++i) {
-        // Small strides make dense intersections with the other set.
-        k += static_cast<uint64_t>(rng.uniformInt(1, 3));
-        keys->push_back(k);
-        weights->push_back(
-            static_cast<double>(rng.uniformInt(1, 100000)));
-    }
-}
-
-/** Reference min-sum: plain two-pointer merge, one accumulator. */
-double
-naiveIntersectMinSum(const std::vector<uint64_t> &ka,
-                     const std::vector<double> &wa,
-                     const std::vector<uint64_t> &kb,
-                     const std::vector<double> &wb)
-{
-    double acc = 0.0;
-    size_t i = 0, j = 0;
-    while (i < ka.size() && j < kb.size()) {
-        if (ka[i] == kb[j]) {
-            acc += std::min(wa[i], wb[j]);
-            ++i;
-            ++j;
-        } else if (ka[i] < kb[j]) {
-            ++i;
-        } else {
-            ++j;
+    std::vector<double> out(4 * (offsets.size() - 1));
+    for (size_t j = 0; j + 1 < offsets.size(); ++j)
+        for (size_t r = 0; r < 4; ++r) {
+            double acc = 0.0;
+            for (size_t t = offsets[j]; t < offsets[j + 1]; ++t) {
+                const double x = rows4[4 * size_t{ids[t]} + r];
+                acc += (x < w[t]) ? x : w[t];
+            }
+            out[4 * j + r] = acc;
         }
-    }
-    return acc;
+    return out;
 }
 
 } // namespace
 
-TEST(SimdKernels, SortedIntersectMinSumMatchesAcrossTails)
+TEST(SimdKernels, GatherMinSums4BitwiseEqualAcrossLengths)
 {
     util::Rng rng(0xd4);
-    for (size_t na : kSizes) {
-        for (size_t nb : {na, na / 2, na + 5}) {
-            std::vector<uint64_t> ka, kb;
-            std::vector<double> wa, wb;
-            randomSortedSet(rng, na, &ka, &wa);
-            randomSortedSet(rng, nb, &kb, &wb);
-            const double ref =
-                naiveIntersectMinSum(ka, wa, kb, wb);
-            const double s = simd::scalar::sortedIntersectMinSum(
-                ka.data(), wa.data(), na, kb.data(), wb.data(), nb);
-            // Integer-valued weights: every accumulation order is
-            // exact, so even the reference must agree bitwise.
-            EXPECT_EQ(s, ref) << "na=" << na << " nb=" << nb;
-            if (!avx2Live())
-                continue;
-            const double v = simd::avx2::sortedIntersectMinSum(
-                ka.data(), wa.data(), na, kb.data(), wb.data(), nb);
-            EXPECT_EQ(std::memcmp(&s, &v, sizeof s), 0)
-                << "na=" << na << " nb=" << nb;
+    const size_t vocab = 40;
+    // Four scattered rows. Each lacks about a third of the keys
+    // (weight 0), and small integer weights tie often with the run's.
+    std::vector<double> rows4(4 * vocab);
+    for (double &x : rows4)
+        x = rng.uniformInt(0, 2) == 0
+                ? 0.0
+                : static_cast<double>(rng.uniformInt(1, 6));
+    // A run of 34 sets of lengths 0..33 over distinct ids; weights mix
+    // tied integers, signed zeros and fractions, whose sums depend on
+    // the accumulation order.
+    std::vector<uint32_t> ids;
+    std::vector<double> w;
+    std::vector<size_t> offsets = {0};
+    std::vector<uint32_t> perm(vocab);
+    for (uint32_t id = 0; id < vocab; ++id)
+        perm[id] = id;
+    for (size_t len = 0; len <= 33; ++len) {
+        rng.shuffle(perm);
+        for (size_t t = 0; t < len; ++t) {
+            ids.push_back(perm[t]);
+            switch (rng.uniformInt(0, 3)) {
+            case 0:
+                w.push_back(static_cast<double>(rng.uniformInt(1, 6)));
+                break;
+            case 1:
+                w.push_back(rng.uniformInt(0, 1) == 0 ? 0.0 : -0.0);
+                break;
+            default:
+                w.push_back(rng.uniform(0.0, 7.0));
+                break;
+            }
         }
+        offsets.push_back(ids.size());
     }
+    const size_t nsets = offsets.size() - 1;
+    const std::vector<double> ref =
+        naiveGatherMinSums4(rows4, ids, w, offsets);
+    std::vector<double> s(4 * nsets, -1.0), v(4 * nsets, -1.0);
+    simd::scalar::gatherMinSums4(rows4.data(), ids.data(), w.data(),
+                                 offsets.data(), nsets, s.data());
+    EXPECT_TRUE(sameBits(ref, s));
+    if (avx2Live()) {
+        simd::avx2::gatherMinSums4(rows4.data(), ids.data(), w.data(),
+                                   offsets.data(), nsets, v.data());
+        for (size_t j = 0; j < nsets; ++j)
+            EXPECT_EQ(std::memcmp(s.data() + 4 * j, v.data() + 4 * j,
+                                  4 * sizeof(double)),
+                      0)
+                << "set length " << j;
+    }
+    // An empty run writes nothing.
+    std::vector<double> untouched(4, -1.0);
+    simd::gatherMinSums4(rows4.data(), ids.data(), w.data(),
+                         offsets.data(), 0, untouched.data());
+    EXPECT_EQ(untouched, std::vector<double>(4, -1.0));
 }
 
-TEST(SimdKernels, MinSemanticsMatchMinpdOnTies)
+TEST(SimdKernels, GatherMinSums4RunWeightWinsTies)
 {
-    // (a<b)?a:b — the second operand must win exact ties in both
-    // implementations (MINPD semantics).
-    std::vector<uint64_t> k = {1, 2, 3, 4, 5, 6, 7, 8};
-    std::vector<double> wa = {5, 5, 5, 5, 5, 5, 5, 5};
-    std::vector<double> wb = {5, 5, 5, 5, 5, 5, 5, 5};
-    const double s = simd::scalar::sortedIntersectMinSum(
-        k.data(), wa.data(), k.size(), k.data(), wb.data(), k.size());
-    EXPECT_EQ(s, 40.0);
+    // (x<y)?x:y with x from the scattered rows and y from the run:
+    // MINPD returns its second operand when the compare is false, so a
+    // NaN in the rows yields the run's weight, and a tie yields it too.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> rows4 = {nan, 5.0, 0.0, 9.0};
+    const std::vector<uint32_t> ids = {0, 0};
+    const std::vector<double> w = {3.0, 5.0};
+    const std::vector<size_t> offsets = {0, 1, 2};
+    const std::vector<double> want = {3.0, 3.0, 0.0, 3.0,
+                                      5.0, 5.0, 0.0, 5.0};
+    std::vector<double> s(8), v(8);
+    simd::scalar::gatherMinSums4(rows4.data(), ids.data(), w.data(),
+                                 offsets.data(), 2, s.data());
+    EXPECT_EQ(s, want);
     if (avx2Live()) {
-        const double v = simd::avx2::sortedIntersectMinSum(
-            k.data(), wa.data(), k.size(), k.data(), wb.data(),
-            k.size());
-        EXPECT_EQ(s, v);
+        simd::avx2::gatherMinSums4(rows4.data(), ids.data(), w.data(),
+                                   offsets.data(), 2, v.data());
+        EXPECT_TRUE(sameBits(s, v));
     }
 }
 
@@ -392,9 +412,9 @@ TEST(SimdJaccard, FromSpanSetsBitwiseIdenticalAcrossDispatch)
 TEST(SimdJaccard, SharedKeyVectorsMatchLegacyPerPair)
 {
     // Storm-shaped batch: a few distinct key vectors (flows), many
-    // sets per vector with different integral weights. This drives the
-    // grouped fast path (key-set dedup + precomputed intersections),
-    // which must still reproduce the legacy per-pair merge exactly.
+    // sets per vector with different integral weights. The blocked
+    // scatter-gather kernel must reproduce the legacy per-pair merge
+    // exactly, whether or not two sets share their keys.
     util::Rng rng(0x31);
     std::vector<std::vector<uint64_t>> vocab;
     for (size_t f = 0; f < 4; ++f) {
@@ -436,10 +456,10 @@ TEST(SimdJaccard, SharedKeyVectorsMatchLegacyPerPair)
         }
 }
 
-TEST(SimdJaccard, ManyDistinctKeySetsUseMergePath)
+TEST(SimdJaccard, ManyDistinctKeyVectorsMatchLegacyPerPair)
 {
-    // Past the grouping cap (64 distinct key vectors) the matrix falls
-    // back to per-pair vectorized merges; results must be unchanged.
+    // Every set has its own key vector: no two sets share the keys
+    // they scatter or gather, and results must still be unchanged.
     util::Rng rng(0x42);
     std::vector<distance::WeightedSpanSet> sets;
     for (size_t i = 0; i < 70; ++i) {

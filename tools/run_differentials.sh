@@ -9,6 +9,11 @@
 #   - core_gnn_test        trained-model predictions pinned bit for bit
 #   - property_distance_test  span-set keys ≡ the byte-serial FNV chain
 #                          (equality classes, bitwise distance matrix)
+#   - jaccard_matrix_test  blocked scatter-gather distance matrix ≡
+#                          per-pair jaccardDistance (block tails, pools,
+#                          inexact batches that must take the merge)
+#   - hdbscan_reference_test  streaming core distances and Prim ≡ the
+#                          previous hdbscan (labels, tied distances)
 #   - campaign_corpus      pinned repro cases (incl. the
 #                          incremental-repoll invariant)
 #
